@@ -49,7 +49,6 @@ from .decision import (
     TimeAxis,
     check_and_commit,
     check_per_release,
-    collapse_time,
 )
 from .poset import (
     RulePoset,

@@ -90,6 +90,42 @@ def rdp_to_adp(cost: RDP, delta: float, orders: Sequence[float] = DEFAULT_ALPHA_
     return ADP(eps, delta)
 
 
+@lru_cache(maxsize=64)
+def _adp_offsets(delta: float, orders: tuple[float, ...]) -> np.ndarray:
+    """ln(1/delta)/(a-1) per order, the RDP-to-ADP term of ``rdp_to_adp``."""
+    if not 0.0 < delta < 1.0:
+        raise ValidationError("delta must lie in (0, 1)")
+    offsets = math.log(1.0 / delta) / (np.asarray(orders) - 1.0)
+    offsets.flags.writeable = False  # one cached array is shared by every caller
+    return offsets
+
+
+def _curve_rows(curves, orders: Sequence[float]) -> np.ndarray:
+    rows = np.asarray(curves)
+    if rows.shape[-1:] != (len(orders),):
+        raise VariantMismatch("RDP curve not over the configured alpha orders")
+    return rows
+
+
+def rdp_epsilon(curves, delta: float, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> np.ndarray:
+    """Vectorised ``rdp_to_adp``: the epsilon at ``delta`` of each row of RDP
+    curves (last axis over the orders), min over a of curve(a) + ln(1/delta)/(a-1)."""
+    return (_curve_rows(curves, orders) + _adp_offsets(delta, tuple(orders))).min(axis=-1)
+
+
+def within_budget(curves, budget: PrivacyBudget, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> np.ndarray:
+    """Vectorised ``filter_check`` on composed curves: one verdict per row.
+
+    ADP budgets are checked through ``rdp_epsilon``; RDP budgets accept a row
+    when some order stays within the budget curve.
+    """
+    if isinstance(budget, ADP):
+        return rdp_epsilon(curves, budget.delta, orders) <= budget.epsilon
+    if isinstance(budget, RDP):
+        return (_curve_rows(curves, orders) <= _curve_rows(budget.curve, orders)).any(axis=-1)
+    raise VariantMismatch(f"filter budgets must be ADP or RDP, got {type(budget).__name__}")
+
+
 def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:
     """Convert a zCDP guarantee to approximate DP at a target delta.
 

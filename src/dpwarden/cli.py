@@ -14,14 +14,7 @@ from pathlib import Path
 
 from .compiler import compile_policy_set, parse_policy_set
 from .core import DEFAULT_ALPHA_ORDERS, ReleaseRequest, Rule, UnitGraph
-from .decision import (
-    BlockDomain,
-    FilterState,
-    TimeAxis,
-    check_and_commit,
-    check_per_release,
-    headroom,
-)
+from .decision import BlockDomain, DecisionPoint, FilterState, TimeAxis
 from .errors import DPWardenError
 from .poset import build_poset, prune_with_report, to_dot
 from .workload import WorkloadConfig, emit_report, run_scenario
@@ -65,26 +58,22 @@ def _load_rules(path: str) -> tuple[list[Rule], list[Rule], UnitGraph, tuple[flo
 
 def _cmd_check(args: argparse.Namespace) -> int:
     rules, per_release, units, orders = _load_rules(args.rules)
-    poset = build_poset(rules, units)
+    axis = TimeAxis(args.time_unit, args.window, args.horizon) if args.time_unit else None
+    point = DecisionPoint(build_poset(rules, units), per_release, BlockDomain((), args.blocks, axis), orders)
 
     state_path = Path(args.state)
     if state_path.exists():
-        state = FilterState.from_dict(json.loads(state_path.read_text()), orders)
-    else:
-        axis = TimeAxis(args.time_unit, args.window, args.horizon) if args.time_unit else None
-        state = FilterState(BlockDomain((), args.blocks, axis), orders)
+        point.state = FilterState.from_dict(json.loads(state_path.read_text()), orders)
 
     request = ReleaseRequest.from_dict(
-        json.loads(Path(args.request).read_text()), domain_size=state.domain.domain_size
+        json.loads(Path(args.request).read_text()), domain_size=point.state.domain.domain_size
     )
-    decision = check_per_release(request, per_release, orders)
-    if decision.accepted:
-        decision = check_and_commit(state, request, poset, args.scale, orders)
+    decision = point.process(request, args.scale)
     result = decision.to_dict()
-    result["headroom"] = headroom(state, poset, args.scale)
+    result["headroom"] = point.headroom(args.scale)
     print(json.dumps(result, indent=2))
     if decision.accepted:
-        state_path.write_text(json.dumps(state.to_dict()))
+        state_path.write_text(json.dumps(point.state.to_dict()))
     return 0 if decision.accepted else 1
 
 

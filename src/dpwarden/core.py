@@ -54,7 +54,7 @@ class PureDP:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValidationError("epsilon must be non-negative")
 
 
@@ -68,7 +68,7 @@ class ADP:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "delta", float(self.delta))
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValidationError("epsilon must be non-negative")
         if not 0.0 <= self.delta < 1.0:
             raise ValidationError("delta must lie in [0, 1)")
@@ -83,7 +83,7 @@ class RDP:
     def __post_init__(self):
         curve = tuple(float(c) for c in self.curve)
         object.__setattr__(self, "curve", curve)
-        if any(c < 0 for c in curve):
+        if not all(c >= 0 for c in curve):
             raise ValidationError("RDP curve entries must be non-negative")
 
 
@@ -95,7 +95,7 @@ class ZCDP:
 
     def __post_init__(self):
         object.__setattr__(self, "rho", float(self.rho))
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValidationError("rho must be non-negative")
 
 

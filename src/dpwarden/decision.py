@@ -9,14 +9,12 @@ leaves the filter state untouched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .accounting import scale_budget
+from .accounting import rdp_epsilon, scale_budget, within_budget
 from .core import (
     ADP,
     DEFAULT_ALPHA_ORDERS,
@@ -231,12 +229,6 @@ class Decision:
         }
 
 
-@lru_cache(maxsize=64)
-def _adp_conv_vector(delta: float, orders: tuple[float, ...]) -> np.ndarray:
-    alphas = np.asarray(orders)
-    return math.log(1.0 / delta) / (alphas - 1.0)
-
-
 def check_per_release(
     request: ReleaseRequest,
     per_release_rules: Sequence[Rule],
@@ -244,7 +236,6 @@ def check_per_release(
 ) -> Decision:
     """Stage one: every mechanism's own cost must fit every matching
     per-release rule.  Stateless."""
-    orders = tuple(orders)
     violations = []
     for mech in request.mechanisms:
         for rule in per_release_rules:
@@ -256,21 +247,11 @@ def check_per_release(
                     f"request {request.request_id!r}: no cost for unit {rule.unit!r} "
                     f"required by per-release rule {rule.rule_id!r}"
                 )
-            if not _cost_within(cost, rule.budget, orders):
+            if not within_budget(cost.curve, rule.budget, orders):
                 violations.append(Violation(rule.rule_id, "per_release"))
     if violations:
         return Decision(False, "per_release", tuple(violations))
     return Decision(True, "per_release")
-
-
-def _cost_within(cost: RDP, budget, orders: tuple[float, ...]) -> bool:
-    vec = np.asarray(cost.curve)
-    if isinstance(budget, ADP):
-        eps = float((vec + _adp_conv_vector(budget.delta, orders)).min())
-        return eps <= budget.epsilon
-    if isinstance(budget, RDP):
-        return bool((vec <= np.asarray(budget.curve)).any())
-    raise VariantMismatch(f"filter budgets must be ADP or RDP, got {type(budget).__name__}")
 
 
 def match_rules(poset: RulePoset, mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
@@ -300,13 +281,15 @@ def check_and_commit(
     request: ReleaseRequest,
     poset: RulePoset,
     budget_scale: float = 1.0,
-    orders: Sequence[float] | None = None,
 ) -> Decision:
     """Stage two: cumulative check of every matching rule on every touched
     (block, time-cell), then an atomic commit on acceptance."""
-    orders = tuple(orders) if orders is not None else state.orders
-    if orders != state.orders:
-        raise ValidationError("orders differ from the filter state's configuration")
+    sel = np.asarray(request.pa_selection, dtype=np.intp)
+    if sel.size and sel[-1] >= state.domain.domain_size:
+        raise ValidationError(
+            f"request {request.request_id!r}: block {int(sel[-1])} outside the domain "
+            f"of {state.domain.domain_size} blocks"
+        )
 
     tracked_units = {r.unit for r in poset.rules}
     for mech in request.mechanisms:
@@ -317,7 +300,6 @@ def check_and_commit(
             )
 
     time_axis = state.domain.time_axis
-    sel = np.asarray(request.pa_selection, dtype=np.intp)
     matches = match_rules(poset, request.mechanisms)
 
     plan: list[tuple[str, list[str], np.ndarray]] = []
@@ -340,16 +322,7 @@ def check_and_commit(
         for cell in cells:
             arr = state.array(rule.rule_id, cell)
             rows = cost[None, :] if arr is None else arr[sel] + cost
-            if isinstance(budget, ADP):
-                eps = (rows + _adp_conv_vector(budget.delta, orders)).min(axis=1)
-                ok = bool((eps <= budget.epsilon).all())
-            elif isinstance(budget, RDP):
-                ok = bool((rows <= np.asarray(budget.curve)).any(axis=1).all())
-            else:
-                raise VariantMismatch(
-                    f"filter budgets must be ADP or RDP, got {type(budget).__name__}"
-                )
-            if not ok:
+            if not within_budget(rows, budget, state.orders).all():
                 violations.append(Violation(rule.rule_id, "cumulative", cell))
         plan.append((rule.rule_id, cells, cost))
 
@@ -361,12 +334,6 @@ def check_and_commit(
     return Decision(True, "accepted")
 
 
-def collapse_time(state: FilterState, new_now: int) -> FilterState:
-    """Advance the time frontier in place; returns the state for chaining."""
-    state.collapse_time(new_now)
-    return state
-
-
 def headroom(state: FilterState, poset: RulePoset, budget_scale: float = 1.0) -> dict[str, dict]:
     """Per-rule consumed-vs-budget summary over all blocks and cells."""
     out: dict[str, dict] = {}
@@ -375,10 +342,9 @@ def headroom(state: FilterState, poset: RulePoset, budget_scale: float = 1.0) ->
         per_rule = state._cells.get(rule.rule_id, {})
         if isinstance(budget, ADP):
             consumed = 0.0
-            conv = _adp_conv_vector(budget.delta, state.orders)
             for arr in per_rule.values():
                 if arr.any():
-                    consumed = max(consumed, float((arr + conv).min(axis=1).max()))
+                    consumed = max(consumed, float(rdp_epsilon(arr, budget.delta, state.orders).max()))
             out[rule.rule_id] = {
                 "budget_epsilon": budget.epsilon,
                 "consumed_epsilon": consumed,

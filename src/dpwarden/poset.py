@@ -130,9 +130,6 @@ class RulePoset:
         """Indices ordered so every rule appears after all rules above it."""
         return list(self._topo)
 
-    def maximal_indices(self) -> list[int]:
-        return [i for i in range(len(self.rules)) if not self.strict_ups(i)]
-
     def greatest_index(self) -> int | None:
         tops = [i for i in range(len(self.rules)) if all(self.leq(j, i) for j in range(len(self.rules)))]
         return tops[0] if len(tops) == 1 else None

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .accounting import calibrate_gaussian_rho, gaussian_curve, pure_curve
+from .accounting import calibrate_gaussian_rho, gaussian_curve, pure_curve, rdp_epsilon
 from .compiler import MapTable, MembershipLevel, compile_policy_set, parse_policy_set
 from .core import (
     ADP,
@@ -39,7 +38,7 @@ from .core import (
     TruePredicate,
     eval_predicate,
 )
-from .decision import BlockDomain, DecisionPoint, TimeAxis
+from .decision import CELL_STATIC, BlockDomain, DecisionPoint, FilterState, TimeAxis
 from .errors import ConfigError
 from .poset import build_poset, prune
 
@@ -522,7 +521,9 @@ class ScenarioResult:
 
 
 class _Scope:
-    """Post-hoc per-scope accounting, independent of the decision point."""
+    """Post-hoc per-scope accounting, independent of the decision point: a
+    monitor-only filter whose accumulator is the static cell of its own
+    ``FilterState``, keyed by the scope name."""
 
     def __init__(self, name: str, predicate: Predicate, unit: str, bound: float | None,
                  cfg: WorkloadConfig, month: int | None = None):
@@ -531,10 +532,8 @@ class _Scope:
         self.unit = unit
         self.bound = bound
         self.month = month
-        self._acc: np.ndarray | None = None
-        self._cfg = cfg
-        self._orders = np.asarray(DEFAULT_ALPHA_ORDERS)
-        self._conv = math.log(1.0 / cfg.delta_budget) / (self._orders - 1.0)
+        self.delta = cfg.delta_budget
+        self.state = FilterState(BlockDomain(("pa",), cfg.pa_domain_size))
 
     def add(self, request: ReleaseRequest) -> None:
         if self.month is not None and request.time_step != self.month:
@@ -548,15 +547,11 @@ class _Scope:
             cost = mech.cost_by_unit.get(self.unit)
             if cost is None:
                 continue
-            if self._acc is None:
-                self._acc = np.zeros((self._cfg.pa_domain_size, len(self._orders)))
-            self._acc[sel] += np.asarray(cost.curve)
+            self.state.ensure(self.name, CELL_STATIC)[sel] += np.asarray(cost.curve)
 
     def report(self) -> ScopeCost:
-        if self._acc is None:
-            eps = 0.0
-        else:
-            eps = float((self._acc + self._conv).min(axis=1).max())
+        acc = self.state.array(self.name, CELL_STATIC)
+        eps = 0.0 if acc is None else float(rdp_epsilon(acc, self.delta, self.state.orders).max())
         violation = self.bound is not None and eps > self.bound + 1e-9
         return ScopeCost(eps, self.bound, violation)
 

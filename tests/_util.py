@@ -3,6 +3,8 @@ and naive reference engines used as oracles."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from dpwarden.accounting import (
@@ -213,3 +215,26 @@ def replay_accumulate(rules, accepted, domain, orders=DEFAULT_ALPHA_ORDERS):
                     acc[key] = np.zeros((domain.domain_size, n_alpha))
                 acc[key][sel] += cost
     return acc
+
+
+def replay_scope_epsilon(scope, accepted, delta, domain_size, orders=DEFAULT_ALPHA_ORDERS) -> float:
+    """Pure-Python replay of one simulator scope over the accepted requests:
+    per-block accumulators summed in acceptance order, then the max over all
+    blocks of min over alpha of acc + ln(1/delta)/(alpha-1); 0.0 when the
+    scope was never charged."""
+    acc = [[0.0] * len(orders) for _ in range(domain_size)]
+    charged = False
+    for request in accepted:
+        if scope.month is not None and request.time_step != scope.month:
+            continue
+        for mech in request.mechanisms:
+            cost = mech.cost_by_unit.get(scope.unit)
+            if cost is None or not eval_predicate(scope.predicate, mech.labels):
+                continue
+            for b in request.pa_selection:
+                charged = True
+                acc[b] = [a + c for a, c in zip(acc[b], cost.curve)]
+    if not charged:
+        return 0.0
+    ln1d = math.log(1.0 / delta)
+    return max(min(a + ln1d / (alpha - 1.0) for a, alpha in zip(row, orders)) for row in acc)

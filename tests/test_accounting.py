@@ -14,8 +14,10 @@ from dpwarden.accounting import (
     gaussian_sigma,
     group_privacy,
     pure_curve,
+    rdp_epsilon,
     rdp_to_adp,
     scale_budget,
+    within_budget,
     zcdp_to_adp,
     zero_curve,
 )
@@ -225,3 +227,41 @@ def test_scale_budget():
     assert scale_budget(PureDP(2), 0.25) == PureDP(0.5)
     assert scale_budget(ZCDP(4), 0.5) == ZCDP(2)
     assert scale_budget(gaussian_curve(0.1), 0.5) == gaussian_curve(0.05)
+
+
+_N_ORDERS = len(DEFAULT_ALPHA_ORDERS)
+_curve_row_lists = st.lists(
+    st.lists(st.floats(min_value=0, max_value=50), min_size=_N_ORDERS, max_size=_N_ORDERS),
+    min_size=1,
+    max_size=4,
+)
+_deltas = st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True)
+_filter_budgets = st.one_of(
+    st.builds(ADP, st.floats(min_value=0, max_value=60), _deltas),
+    st.lists(st.floats(min_value=0, max_value=50), min_size=_N_ORDERS, max_size=_N_ORDERS).map(
+        lambda c: RDP(tuple(c))
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(_curve_row_lists, _deltas, _filter_budgets)
+def test_kernel_matches_scalar_reference(rows, delta, budget):
+    assert rdp_epsilon(rows, delta).tolist() == [rdp_to_adp(RDP(r), delta).epsilon for r in rows]
+    assert within_budget(rows, budget).tolist() == [
+        filter_check(zero_curve(), RDP(r), budget) for r in rows
+    ]
+
+
+def test_kernel_rejects_other_variants_and_orders():
+    rows = [zero_curve().curve]
+    with pytest.raises(VariantMismatch):
+        within_budget(rows, PureDP(1.0))
+    with pytest.raises(VariantMismatch):
+        within_budget(rows, ZCDP(1.0))
+    with pytest.raises(VariantMismatch):
+        within_budget([[0.1]], ADP(1.0, 1e-7))
+    with pytest.raises(VariantMismatch):
+        within_budget(rows, RDP((1.0,)))
+    with pytest.raises(ValidationError):
+        rdp_epsilon(rows, 0.0)

@@ -129,3 +129,24 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     bad.write_text(json.dumps(bad_doc))
     assert main(["compile", "--policies", str(bad), "-o", str(rules)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_rejects_out_of_range_block_without_writing(tmp_path, capsys):
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(policy_doc()))
+    rules = tmp_path / "rules.json"
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    state = tmp_path / "state.json"
+    request = tmp_path / "req.json"
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", "4"]
+    request.write_text(json.dumps(request_doc(0.5)))
+    assert main(check) == 0
+    before = state.read_bytes()
+    doc = request_doc(0.1)
+    doc["pa_selection"] = [1, 4]
+    request.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(check) == 2
+    assert "outside the domain" in capsys.readouterr().err
+    assert state.read_bytes() == before

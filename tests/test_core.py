@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from dpwarden.core import (
     PrivacyUnit,
     PureDP,
     RDP,
+    ReleaseRequest,
     Rule,
     TruePredicate,
     UnitGraph,
@@ -80,6 +83,26 @@ def test_budget_validation():
         RDP((0.1, -0.2))
     with pytest.raises(ValidationError):
         ZCDP(-0.1)
+
+
+def test_budget_rejects_nan():
+    nan = float("nan")
+    for make in (
+        lambda: PureDP(nan),
+        lambda: ADP(nan, 1e-7),
+        lambda: ADP(1.0, nan),
+        lambda: RDP((0.1, nan)),
+        lambda: ZCDP(nan),
+    ):
+        with pytest.raises(ValidationError):
+            make()
+    # JSON's NaN token reaches the constructors through the request format
+    doc = json.loads(
+        '{"request_id": "q", "pa_selection": [0], "mechanisms": [{"labels": {}, '
+        '"cost_by_unit": {"user": {"kind": "rdp", "curve": [0.1, NaN]}}}]}'
+    )
+    with pytest.raises(ValidationError):
+        ReleaseRequest.from_dict(doc)
 
 
 _budget_pairs = st.sampled_from(["pure", "adp", "zcdp", "rdp"]).flatmap(

@@ -36,11 +36,10 @@ from dpwarden.decision import (
     TimeAxis,
     check_and_commit,
     check_per_release,
-    collapse_time,
     match_rules,
     step_cell,
 )
-from dpwarden.errors import MissingCost, UnknownTimeStep
+from dpwarden.errors import MissingCost, UnknownTimeStep, ValidationError
 from dpwarden.poset import build_poset
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -156,6 +155,20 @@ def test_missing_tracked_unit_cost_errors():
         point.process(req)
 
 
+def test_out_of_range_block_fails_closed():
+    point = _monthly_point(blocks=8)
+    assert point.process(_time_request("q1", 6)).accepted
+    cells = {rid: set(per_rule) for rid, per_rule in point.state._cells.items()}
+    before = json.dumps(point.state.to_dict())
+    curve = gaussian_curve(0.001)
+    mech = Mechanism(LabelSet({"data": ["time"]}), {"user": curve, "user-month": curve})
+    for month in (6, 5, None):
+        with pytest.raises(ValidationError):
+            point.process(ReleaseRequest("q", (mech,), (3, 8), month, 1.0))
+    assert {rid: set(per_rule) for rid, per_rule in point.state._cells.items()} == cells
+    assert json.dumps(point.state.to_dict()) == before
+
+
 def test_collapse_examples():
     domain = BlockDomain(("pa",), 2, TimeAxis("m", 7, 9))
     state = FilterState(domain)
@@ -164,13 +177,13 @@ def test_collapse_examples():
 
     # advancing by one with an empty oldest step leaves the interval alone
     state.ensure("r", step_cell(9))[:] = c1
-    collapse_time(state, 10)
+    state.collapse_time(10)
     assert state.array("r", CELL_HIST) is None
 
     # absorbing a step into an empty interval copies the curve
     state2 = FilterState(domain)
     state2.ensure("r", step_cell(3))[:] = c1
-    collapse_time(state2, 10)
+    state2.collapse_time(10)
     assert np.array_equal(state2.array("r", CELL_HIST), c1)
 
     # absorbing two steps takes the pointwise maximum
@@ -179,7 +192,7 @@ def test_collapse_examples():
     arr1[:] = c1
     arr1[0, 0] = 99.0
     state3.ensure("r", step_cell(4))[:] = c2
-    collapse_time(state3, 11)
+    state3.collapse_time(11)
     merged = state3.array("r", CELL_HIST)
     assert merged[0, 0] == 99.0
     assert np.array_equal(merged[1], c2[1])
@@ -194,12 +207,12 @@ def test_collapse_monotone_never_forgets():
         arr[:] = rng.uniform(0, 1, size=arr.shape)
     before = state.array("r", CELL_HIST)
     before = np.zeros((4, state.n_alpha)) if before is None else before.copy()
-    collapse_time(state, 9)
+    state.collapse_time(9)
     after = state.array("r", CELL_HIST)
     assert (after >= before - 1e-15).all()
     assert state.now == 9
     with pytest.raises(Exception):
-        collapse_time(state, 5)
+        state.collapse_time(5)
 
 
 def test_poset_skipping_matches_direct_evaluation():

@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from dpwarden.workload import (
     sample_month,
     tracked_months,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from _util import replay_scope_epsilon  # noqa: E402
 
 
 def small_cfg(**kw):
@@ -196,3 +201,37 @@ def test_mechanism_table_matches_defaults():
     assert set(cfg.mechanisms) == set(DEFAULT_MECHANISMS)
     for name, spec in cfg.mechanisms.items():
         assert len(spec["levels"]) == 3
+
+
+@pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
+def test_scope_reports_match_pure_python_replay(scenario, monkeypatch):
+    from dpwarden.decision import DecisionPoint
+    from dpwarden.workload import _build_scopes
+
+    cfg = small_cfg(scenario=scenario, rounds=4, total_epsilon=3.0)
+    accepted = []
+    process = DecisionPoint.process
+
+    def recording_process(self, request, budget_scale=1.0):
+        decision = process(self, request, budget_scale)
+        if decision.accepted:
+            accepted.append(request)
+        return decision
+
+    monkeypatch.setattr(DecisionPoint, "process", recording_process)
+    result = run_scenario(cfg)
+    monkeypatch.undo()
+
+    schema = build_schema(cfg)
+    batches = generate_workload(cfg, schema)
+    round_of = {q.request_id: r for r, batch in enumerate(batches, start=1) for q in batch}
+    scopes = _build_scopes(cfg, schema)
+    assert {s.name for s in scopes} == set(result.reports[0].scopes)
+    charged = 0
+    for rep in result.reports:
+        prefix = [q for q in accepted if round_of[q.request_id] <= rep.round]
+        for scope in scopes:
+            expected = replay_scope_epsilon(scope, prefix, cfg.delta_budget, cfg.pa_domain_size)
+            assert rep.scopes[scope.name].cumulative_epsilon == expected
+            charged += expected > 0
+    assert charged > 0
