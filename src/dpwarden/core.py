@@ -7,9 +7,12 @@ field names.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import ValidationError, VariantMismatch
 
@@ -602,30 +605,55 @@ class Mechanism:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReleaseRequest:
-    """One release: mechanisms plus the block/time selection and a utility."""
+    """One release: mechanisms plus the block/time selection and a utility.
+
+    ``pa_selection`` takes any flat sequence of block indices and holds them
+    as a sorted, duplicate-free, read-only ``np.intp`` array.
+    """
 
     request_id: str
     mechanisms: tuple[Mechanism, ...]
-    pa_selection: tuple[int, ...] = ()
+    pa_selection: np.ndarray | Sequence[int] = ()
     time_step: int | None = None
     utility: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        sel = tuple(sorted(set(int(b) for b in self.pa_selection)))
-        if any(b < 0 for b in sel):
-            raise ValidationError("block indices must be non-negative")
+        try:
+            sel = np.asarray(self.pa_selection)
+        except ValueError:  # ragged nesting
+            sel = None
+        if (
+            sel is None or sel.ndim != 1 or (sel.size and sel.dtype.kind not in "iu")
+            # numpy reads a bool among ints as 0 or 1
+            or (sel is not self.pa_selection and any(isinstance(b, bool) for b in self.pa_selection))
+        ):
+            raise ValidationError(
+                f"request {self.request_id!r}: block selection must be a flat sequence of integers"
+            )
+        # cast before sorting: a uint64 index beyond the intp range wraps negative
+        sel = np.sort(sel.astype(np.intp, copy=False))
+        if sel.size and sel[0] < 0:
+            raise ValidationError(
+                f"request {self.request_id!r}: block indices must lie in [0, {np.iinfo(np.intp).max}]"
+            )
+        keep = np.ones(sel.size, dtype=bool)
+        np.not_equal(sel[1:], sel[:-1], out=keep[1:])
+        sel = sel[keep]
+        sel.flags.writeable = False
         object.__setattr__(self, "pa_selection", sel)
-        if self.utility < 0:
+        if self.time_step is not None and self.time_step < 0:
+            raise ValidationError("time step must be >= 0")
+        if not self.utility >= 0:
             raise ValidationError("utility must be non-negative")
 
     def to_dict(self) -> dict:
         d = {
             "request_id": self.request_id,
             "mechanisms": [m.to_dict() for m in self.mechanisms],
-            "pa_selection": list(self.pa_selection),
+            "pa_selection": self.pa_selection.tolist(),
             "utility": self.utility,
         }
         if self.time_step is not None:
@@ -634,24 +662,29 @@ class ReleaseRequest:
 
     @classmethod
     def from_dict(cls, d: Mapping, domain_size: int | None = None) -> "ReleaseRequest":
-        sel = d.get("pa_selection", [])
-        if isinstance(sel, Mapping):
-            sel = expand_block_range(int(sel["start"]), int(sel["length"]), domain_size)
-        ts = d.get("time_step")
-        return cls(
-            d["request_id"],
-            tuple(Mechanism.from_dict(m) for m in d.get("mechanisms", ())),
-            tuple(sel),
-            int(ts) if ts is not None else None,
-            float(d.get("utility", 0.0)),
-        )
+        if not isinstance(d, Mapping):
+            raise ValidationError("a release request must be a JSON object")
+        try:
+            sel = d.get("pa_selection", [])
+            if isinstance(sel, Mapping):
+                sel = expand_block_range(
+                    operator.index(sel["start"]), operator.index(sel["length"]), domain_size
+                )
+            ts = d.get("time_step")
+            return cls(
+                d["request_id"],
+                tuple(Mechanism.from_dict(m) for m in d.get("mechanisms", ())),
+                sel,
+                None if ts is None else operator.index(ts),
+                float(d.get("utility", 0.0)),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed release request: {exc!r}") from None
 
 
-def expand_block_range(start: int, length: int, domain_size: int | None) -> tuple[int, ...]:
-    """Expand a consecutive block interval, wrapping around the domain edge."""
+def expand_block_range(start: int, length: int, domain_size: int | None) -> np.ndarray:
+    """Block indices of a consecutive interval, wrapping around the domain
+    edge, in interval order (``ReleaseRequest`` sorts them)."""
     if domain_size is None:
         raise ValidationError("interval selections need a known domain size")
-    if length <= 0:
-        return ()
-    length = min(length, domain_size)
-    return tuple(sorted((start + i) % domain_size for i in range(length)))
+    return (start % domain_size + np.arange(min(length, domain_size))) % domain_size

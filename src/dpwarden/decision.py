@@ -126,8 +126,6 @@ class FilterState:
             return [CELL_STATIC]
         if time_step is None:
             return [CELL_HIST, *(step_cell(s) for s in self.granular_steps()), CELL_FUTURE]
-        if time_step < 0:
-            raise ValidationError("time step must be >= 0")
         if time_step > self.now:
             raise UnknownTimeStep(f"time step {time_step} beyond current horizon {self.now}")
         if time_step in self.granular_steps():
@@ -194,13 +192,29 @@ class FilterState:
 
     @classmethod
     def from_dict(cls, d: Mapping, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> "FilterState":
-        state = cls(BlockDomain.from_dict(d["domain"]), orders)
-        state.now = int(d.get("now", state.now))
+        try:
+            state = cls(BlockDomain.from_dict(d["domain"]), orders)
+            state.now = int(d.get("now", state.now))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed state: {exc!r}") from None
+        n = state.domain.domain_size
         for rid, per_rule in d.get("cells", {}).items():
             for cell, payload in per_rule.items():
-                arr = state.ensure(rid, cell)
-                for b, curve in zip(payload["blocks"], payload["curves"]):
-                    arr[int(b)] = curve
+                try:
+                    blocks = np.asarray(payload["blocks"])
+                    curves = np.asarray(payload["curves"], dtype=float)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValidationError(f"state cell {rid}/{cell}: {exc!r}") from None
+                if blocks.ndim != 1 or (blocks.size and (
+                    blocks.dtype.kind not in "iu" or blocks.min() < 0 or blocks.max() >= n
+                )):
+                    raise ValidationError(f"state cell {rid}/{cell}: blocks must be integers in [0, {n})")
+                if curves.shape != (blocks.size, state.n_alpha) or not ((curves >= 0) & (curves < np.inf)).all():
+                    raise ValidationError(
+                        f"state cell {rid}/{cell}: curves must be one row of {state.n_alpha} "
+                        f"finite, non-negative values per block"
+                    )
+                state.ensure(rid, cell)[blocks] = curves
         return state
 
 
@@ -284,7 +298,7 @@ def check_and_commit(
 ) -> Decision:
     """Stage two: cumulative check of every matching rule on every touched
     (block, time-cell), then an atomic commit on acceptance."""
-    sel = np.asarray(request.pa_selection, dtype=np.intp)
+    sel = request.pa_selection
     if sel.size and sel[-1] >= state.domain.domain_size:
         raise ValidationError(
             f"request {request.request_id!r}: block {int(sel[-1])} outside the domain "

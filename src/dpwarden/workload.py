@@ -37,6 +37,7 @@ from .core import (
     Rule,
     TruePredicate,
     eval_predicate,
+    expand_block_range,
 )
 from .decision import CELL_STATIC, BlockDomain, DecisionPoint, FilterState, TimeAxis
 from .errors import ConfigError
@@ -363,9 +364,6 @@ def build_policy_document(cfg: WorkloadConfig, schema: WorkloadSchema) -> dict:
 # Request generation
 # ---------------------------------------------------------------------------
 
-_COST_CACHE: dict[tuple, RDP] = {}
-
-
 def request_cost_curve(family: str, epsilon: float, delta: float,
                        orders: tuple[float, ...] = DEFAULT_ALPHA_ORDERS) -> RDP:
     """RDP curve for one mechanism invocation at a stated epsilon level.
@@ -374,17 +372,11 @@ def request_cost_curve(family: str, epsilon: float, delta: float,
     converts back to the stated epsilon at the request delta; pure-DP
     mechanisms get a constant curve.
     """
-    key = (family, epsilon, delta, orders)
-    curve = _COST_CACHE.get(key)
-    if curve is None:
-        if family == "gaussian":
-            curve = gaussian_curve(calibrate_gaussian_rho(epsilon, delta, orders), orders)
-        elif family == "pure":
-            curve = pure_curve(epsilon, orders)
-        else:
-            raise ConfigError(f"unknown mechanism family {family!r}")
-        _COST_CACHE[key] = curve
-    return curve
+    if family == "gaussian":
+        return gaussian_curve(calibrate_gaussian_rho(epsilon, delta, orders), orders)
+    if family == "pure":
+        return pure_curve(epsilon, orders)
+    raise ConfigError(f"unknown mechanism family {family!r}")
 
 
 def month_of_round(cfg: WorkloadConfig, round_no: int) -> int:
@@ -422,7 +414,7 @@ def generate_workload(cfg: WorkloadConfig, schema: WorkloadSchema | None = None)
             a, b = spec["pa_beta"]
             length = int(rng.beta(a, b) * cfg.pa_range_unit)
             start = int(rng.integers(cfg.pa_domain_size))
-            sel = tuple((start + k) % cfg.pa_domain_size for k in range(min(length, cfg.pa_domain_size)))
+            sel = expand_block_range(start, length, cfg.pa_domain_size)
 
             attrs = sample_attribute_set(rng, cfg, schema)
             labels: dict[str, list[str]] = {
@@ -538,16 +530,15 @@ class _Scope:
     def add(self, request: ReleaseRequest) -> None:
         if self.month is not None and request.time_step != self.month:
             return
-        if not request.pa_selection:
+        if request.pa_selection.size == 0:
             return
-        sel = np.asarray(request.pa_selection, dtype=np.intp)
         for mech in request.mechanisms:
             if not eval_predicate(self.predicate, mech.labels):
                 continue
             cost = mech.cost_by_unit.get(self.unit)
             if cost is None:
                 continue
-            self.state.ensure(self.name, CELL_STATIC)[sel] += np.asarray(cost.curve)
+            self.state.ensure(self.name, CELL_STATIC)[request.pa_selection] += np.asarray(cost.curve)
 
     def report(self) -> ScopeCost:
         acc = self.state.array(self.name, CELL_STATIC)

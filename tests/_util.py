@@ -163,7 +163,7 @@ class NaiveEngine:
             matching = [
                 m for m in request.mechanisms if eval_predicate(rule.predicate, m.labels)
             ]
-            if not matching or not request.pa_selection:
+            if not matching or request.pa_selection.size == 0:
                 continue
             cost = compose_rdp([m.cost_by_unit[rule.unit] for m in matching], self.orders)
             budget = scale_budget(rule.budget, budget_scale)
@@ -196,7 +196,7 @@ def replay_accumulate(rules, accepted, domain, orders=DEFAULT_ALPHA_ORDERS):
     window = time_axis.granular_window if time_axis else 0
     acc: dict[tuple[str, str], np.ndarray] = {}
     for request in accepted:
-        if not request.pa_selection:
+        if request.pa_selection.size == 0:
             continue
         sel = np.asarray(request.pa_selection, dtype=np.intp)
         for rule in rules:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpwarden.accounting import calibrate_gaussian_rho, gaussian_curve
 from dpwarden.cli import main
@@ -149,4 +150,84 @@ def test_check_rejects_out_of_range_block_without_writing(tmp_path, capsys):
     capsys.readouterr()
     assert main(check) == 2
     assert "outside the domain" in capsys.readouterr().err
+    assert state.read_bytes() == before
+
+
+def test_check_rejects_malformed_state_without_writing(tmp_path, capsys):
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(policy_doc()))
+    rules = tmp_path / "rules.json"
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    state = tmp_path / "state.json"
+    request = tmp_path / "req.json"
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", "4"]
+    request.write_text(json.dumps(request_doc(0.1)))
+    assert main(check) == 0
+    doc = json.loads(state.read_text())
+    cell = next(iter(next(iter(doc["cells"].values())).values()))
+    cell["blocks"][0] = 7
+    state.write_text(json.dumps(doc))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(check) == 2
+    assert "blocks must be integers in [0, 4)" in capsys.readouterr().err
+    assert state.read_bytes() == before
+
+
+@pytest.fixture(scope="module")
+def check_files(tmp_path_factory):
+    """A compiled rule set and a state file holding one accepted request."""
+    root = tmp_path_factory.mktemp("check")
+    policies, rules, state, request = (root / n for n in ("policies.json", "rules.json",
+                                                          "state.json", "req.json"))
+    policies.write_text(json.dumps(policy_doc()))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", "4"]
+    request.write_text(json.dumps(request_doc(0.1)))
+    assert main(check) == 0
+    return check, state, request
+
+
+_bad_block = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(),
+    st.lists(st.integers(0, 3), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.integers(min_value=4, max_value=2**80),
+    st.integers(max_value=-1),
+)
+_malformed_fields = st.one_of(
+    st.lists(st.integers(0, 3), max_size=3).flatmap(
+        lambda good: st.tuples(st.integers(0, len(good)), _bad_block).map(
+            lambda ib: {"pa_selection": good[:ib[0]] + [ib[1]] + good[ib[0]:]}
+        )
+    ),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=1, max_size=3).map(
+        lambda nested: {"pa_selection": nested}
+    ),
+    st.sampled_from([float("nan"), float("-inf"), -1.0]).map(lambda u: {"utility": u}),
+    st.text(alphabet="xyz -", max_size=4).map(lambda u: {"utility": u}),
+    st.one_of(st.text(max_size=3), st.floats(), st.integers(max_value=-1), st.lists(st.integers(), max_size=2))
+    .map(lambda t: {"time_step": t}),
+    st.sampled_from([{}, {"start": 0}, {"length": 2}, {"start": "0", "length": 2}, {"start": 0, "length": None}])
+    .map(lambda interval: {"pa_selection": interval}),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=_malformed_fields)
+def test_malformed_request_exits_2_and_leaves_state(check_files, capsys, fields):
+    check, state, request = check_files
+    doc = request_doc(0.1)
+    doc.update(fields)
+    request.write_text(json.dumps(doc))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(check) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
     assert state.read_bytes() == before

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -213,8 +214,81 @@ def test_unit_graph_unknown_reference():
 
 
 def test_block_range_wraparound():
-    assert expand_block_range(6, 4, 8) == (0, 1, 6, 7)
-    assert expand_block_range(0, 0, 8) == ()
+    assert expand_block_range(6, 4, 8).tolist() == [6, 7, 0, 1]
+    assert expand_block_range(0, 0, 8).tolist() == []
+
+
+@given(st.integers(min_value=-(2**70), max_value=2**70), st.integers(min_value=-5, max_value=40),
+       st.integers(min_value=1, max_value=32))
+def test_block_range_matches_reference(start, length, n):
+    expected = sorted((start + k) % n for k in range(min(length, n)))
+    assert sorted(expand_block_range(start, length, n).tolist()) == expected
+
+
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+@given(st.lists(st.one_of(st.integers(min_value=-3, max_value=60),
+                          st.integers(min_value=-(2**66), max_value=2**66))))
+def test_selection_normalised_to_sorted_unique_readonly_array(xs):
+    if any(x < 0 or x > _INTP_MAX for x in xs):
+        with pytest.raises(ValidationError):
+            ReleaseRequest("q", (), xs)
+        return
+    request = ReleaseRequest("q", (), xs)
+    sel = request.pa_selection
+    assert sel.tolist() == sorted(set(xs))
+    assert sel.dtype == np.intp
+    assert not sel.flags.writeable
+    round_trip = ReleaseRequest.from_dict(json.loads(json.dumps(request.to_dict())))
+    assert round_trip.pa_selection.tolist() == sel.tolist()
+
+
+def test_selection_array_is_a_private_copy():
+    blocks = np.array([3, 1, 2])
+    request = ReleaseRequest("q", (), blocks)
+    blocks[0] = 0
+    assert request.pa_selection.tolist() == [1, 2, 3]
+
+
+_CURVE = {"user": {"kind": "rdp", "curve": [0.1, 0.2]}}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"pa_selection": [0, None]},
+        {"pa_selection": [2, True]},
+        {"pa_selection": [False]},
+        {"pa_selection": ["x"]},
+        {"pa_selection": [1.5]},
+        {"pa_selection": [2**70]},
+        {"pa_selection": [2**63]},
+        {"pa_selection": [-1]},
+        {"pa_selection": [[0, 1], [2, 3]]},
+        {"pa_selection": [[0], 1]},
+        {"pa_selection": "0"},
+        {"pa_selection": None},
+        {"pa_selection": {"start": 0}},
+        {"pa_selection": {"length": 2}},
+        {"pa_selection": {"start": "x", "length": 2}},
+        {"utility": float("nan")},
+        {"utility": "high"},
+        {"utility": -1.0},
+        {"time_step": "x"},
+        {"time_step": 1.5},
+        {"time_step": -1},
+        {"time_step": [1]},
+        {"mechanisms": 3},
+    ],
+)
+def test_malformed_request_fails_closed(fields):
+    doc = {"request_id": "q", "mechanisms": [{"cost_by_unit": _CURVE}], "pa_selection": [0]}
+    doc.update(fields)
+    with pytest.raises(ValidationError):
+        ReleaseRequest.from_dict(doc, domain_size=4)
+    with pytest.raises(ValidationError):
+        ReleaseRequest.from_dict([doc], domain_size=4)
 
 
 def test_rule_serialization_round_trip():

@@ -310,6 +310,63 @@ def test_state_serialization_round_trip():
     assert d1.accepted == d2.accepted
 
 
+def _state_doc(blocks, curves, domain_size=4):
+    return {
+        "now": 0,
+        "domain": BlockDomain(("pa",), domain_size).to_dict(),
+        "cells": {"r": {"static": {"blocks": blocks, "curves": curves}}},
+    }
+
+
+_ROW = list(gaussian_curve(0.01).curve)
+
+
+def test_state_load_places_each_curve_at_its_block():
+    state = FilterState.from_dict(_state_doc([3, 0], [_ROW, [2 * c for c in _ROW]]))
+    arr = state.array("r", "static")
+    assert arr.tolist() == [[2 * c for c in _ROW], [0.0] * len(_ROW), [0.0] * len(_ROW), _ROW]
+
+
+@pytest.mark.parametrize(
+    "blocks, curves",
+    [
+        ([4], [_ROW]),                      # block == domain_size
+        ([7], [_ROW]),                      # block beyond the domain
+        ([-1], [_ROW]),                     # would load into the last block
+        ([2**70], [_ROW]),
+        ([1.0], [_ROW]),
+        (["0"], [_ROW]),
+        ([[0]], [_ROW]),
+        ([0], [[0.1, 0.2, 0.3]]),           # curve not over the orders
+        ([0], [_ROW[:-1] + [float("nan")]]),
+        ([0], [_ROW[:-1] + [float("inf")]]),
+        ([0], [_ROW[:-1] + [-0.5]]),
+        ([0], [_ROW[:-1] + ["x"]]),
+        ([0, 1], [_ROW]),                   # fewer curves than blocks
+        ([0], [_ROW, _ROW]),                # more curves than blocks
+    ],
+)
+def test_state_load_fails_closed(blocks, curves):
+    with pytest.raises(ValidationError):
+        FilterState.from_dict(json.loads(json.dumps(_state_doc(blocks, curves))))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["cells"]["r"]["static"].pop("curves"),
+        lambda doc: doc.pop("domain"),
+        lambda doc: doc.update(now="x"),
+        lambda doc: doc["domain"].update(domain_size=None),
+    ],
+)
+def test_state_load_rejects_missing_or_mistyped_fields(edit):
+    doc = _state_doc([0], [_ROW])
+    edit(doc)
+    with pytest.raises(ValidationError):
+        FilterState.from_dict(doc)
+
+
 def test_headroom_reports_consumption():
     point = _monthly_point()
     point.process(_time_request("q1", 6, eps=2.0))

@@ -147,7 +147,7 @@ def test_emit_report_shapes(tmp_path):
     cfg = small_cfg(scenario="s3", rounds=4, rounds_per_month=2)
     res = run_scenario(cfg, "dpolicy")
     csv_path, summary_path = emit_report(res, tmp_path)
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     n_scopes = 1 + len(tracked_months(cfg))
     assert len(rows) == cfg.rounds * n_scopes
     summary = json.loads(summary_path.read_text())
