@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from .compiler import compile_policy_set, parse_policy_set
-from .core import DEFAULT_ALPHA_ORDERS, ReleaseRequest, Rule, UnitGraph
+from .core import DEFAULT_ALPHA_ORDERS, ReleaseRequest, Rule, UnitGraph, validate_alpha_orders
 from .decision import BlockDomain, DecisionPoint, FilterState, TimeAxis
-from .errors import DPWardenError
-from .poset import build_poset, prune_with_report, to_dot
+from .errors import DPWardenError, ParseError, reading
+from .poset import RulePoset, build_poset, prune_with_report, to_dot
 from .workload import WorkloadConfig, emit_report, run_scenario
 
 RULES_FORMAT = "dpwarden-rules"
@@ -46,27 +46,34 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_rules(path: str) -> tuple[list[Rule], list[Rule], UnitGraph, tuple[float, ...]]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != RULES_FORMAT:
-        raise DPWardenError(f"{path} is not a compiled rule set")
-    units = UnitGraph.from_dicts(doc["units"])
-    rules = [Rule.from_dict(d) for d in doc["rules"]]
-    per_release = [Rule.from_dict(d) for d in doc.get("per_release_rules", ())]
-    return rules, per_release, units, tuple(doc["alpha_orders"])
+def _read_json(path: str, what: str):
+    with reading(what):
+        return json.loads(Path(path).read_text())
+
+
+def _load_rules(path: str) -> tuple[RulePoset, list[Rule], tuple[float, ...]]:
+    """The rule poset, the per-release rules and the alpha orders of a
+    compiled rule set, all built inside the document boundary."""
+    with reading("rule set"):
+        doc = json.loads(Path(path).read_text())
+        if doc.get("format") != RULES_FORMAT:
+            raise ParseError(f"{path} is not a compiled rule set")
+        poset = build_poset([Rule.from_dict(d) for d in doc["rules"]], UnitGraph.from_dicts(doc["units"]))
+        per_release = [Rule.from_dict(d) for d in doc.get("per_release_rules", ())]
+        return poset, per_release, validate_alpha_orders(doc["alpha_orders"])
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    rules, per_release, units, orders = _load_rules(args.rules)
+    poset, per_release, orders = _load_rules(args.rules)
     axis = TimeAxis(args.time_unit, args.window, args.horizon) if args.time_unit else None
-    point = DecisionPoint(build_poset(rules, units), per_release, BlockDomain((), args.blocks, axis), orders)
+    point = DecisionPoint(poset, per_release, BlockDomain((), args.blocks, axis), orders)
 
     state_path = Path(args.state)
     if state_path.exists():
-        point.state = FilterState.from_dict(json.loads(state_path.read_text()), orders)
+        point.state = FilterState.from_dict(_read_json(args.state, "state"), orders)
 
     request = ReleaseRequest.from_dict(
-        json.loads(Path(args.request).read_text()), domain_size=point.state.domain.domain_size
+        _read_json(args.request, "release request"), domain_size=point.state.domain.domain_size
     )
     decision = point.process(request, args.scale)
     result = decision.to_dict()
@@ -78,7 +85,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = WorkloadConfig.from_dict(json.loads(Path(args.config).read_text()))
+    cfg = WorkloadConfig.from_dict(_read_json(args.config, "workload config"))
     result = run_scenario(cfg, args.mode)
     csv_path, summary_path = emit_report(result, args.out)
     print(f"wrote {csv_path} and {summary_path}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
+from .accounting import scale_budget
 from .core import (
     ADP,
     And,
@@ -22,25 +23,21 @@ from .core import (
     BASE_ATTRS,
     BASE_RANKS,
     BASE_TOP,
-    LabelSet,
     OrderKey,
     Predicate,
     PrivacyBudget,
     PrivacyUnit,
     Provenance,
     PureDP,
-    RDP,
     Rule,
     TruePredicate,
     UnitGraph,
     ZCDP,
     budget_from_dict,
-    budget_to_dict,
     conjunction_atoms,
     predicate_from_dict,
-    predicate_to_dict,
 )
-from .errors import BudgetFnDomain, ParseError, UnsupportedVariant, ValidationError
+from .errors import BudgetFnDomain, ParseError, UnsupportedVariant, ValidationError, reading
 
 
 class MembershipLevel(str, Enum):
@@ -76,14 +73,11 @@ class Scale:
 
     def __post_init__(self):
         object.__setattr__(self, "factor", float(self.factor))
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValidationError("scale factor must be positive")
 
     def apply(self, budget: PrivacyBudget) -> PrivacyBudget:
-        if isinstance(budget, RDP):
-            # pointwise scaling keeps the curve a valid guarantee
-            return RDP(tuple(c * self.factor for c in budget.curve))
-        return _map_epsilon(budget, lambda x: x * self.factor)
+        return scale_budget(budget, self.factor)
 
 
 @dataclass(frozen=True)
@@ -130,16 +124,6 @@ class MapTable:
 
 
 BudgetFn = Union[Identity, Scale, MapTable]
-
-
-def budget_fn_to_dict(fn: BudgetFn) -> dict:
-    if isinstance(fn, Identity):
-        return {"kind": "identity"}
-    if isinstance(fn, Scale):
-        return {"kind": "scale", "factor": fn.factor}
-    if isinstance(fn, MapTable):
-        return {"kind": "map_table", "knots": [list(k) for k in fn.knots], "clamp": fn.clamp}
-    raise ValidationError(f"not a budget function: {fn!r}")
 
 
 def budget_fn_from_dict(d: Mapping) -> BudgetFn:
@@ -241,29 +225,15 @@ class PolicySet:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _require(d: Mapping, key: str, where: str):
-    if key not in d:
-        raise ParseError(f"missing key {key!r} in {where}")
-    return d[key]
-
-
-def _parse_unit(d: Mapping) -> PrivacyUnit:
-    return PrivacyUnit(
-        _require(d, "name", "unit"),
-        frozenset(d.get("above", ())),
-        {k: int(v) for k, v in d.get("group_factor_to", {}).items()},
-    )
-
-
 def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], categories: set[str]) -> BasePolicy:
-    kind = _require(d, "type", "base policy")
-    name = _require(d, "name", "base policy")
-    unit = _require(d, "unit", f"policy {name!r}")
+    kind = d["type"]
+    name = d["name"]
+    unit = d["unit"]
     if unit not in units:
         raise ValidationError(f"policy {name!r} references unknown unit {unit!r}")
     if kind == "custom":
-        predicate = predicate_from_dict(_require(d, "predicate", f"policy {name!r}"))
-        budget = budget_from_dict(_require(d, "budget", f"policy {name!r}"))
+        predicate = predicate_from_dict(d["predicate"])
+        budget = budget_from_dict(d["budget"])
         annotation = tuple(int(x) for x in d["annotation"]) if "annotation" in d else None
         if (
             annotation is None
@@ -276,9 +246,9 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
             )
         return CustomPolicy(name, predicate, unit, budget, annotation)
     if kind == "per_attribute":
-        risk_budgets = {r: budget_from_dict(b) for r, b in _require(d, "risk_budgets", name).items()}
+        risk_budgets = {r: budget_from_dict(b) for r, b in d["risk_budgets"].items()}
         assignments: dict[str, Union[str, PrivacyBudget]] = {}
-        for attr, val in _require(d, "attributes", name).items():
+        for attr, val in d["attributes"].items():
             if attr not in attributes:
                 raise ValidationError(f"policy {name!r} references unknown attribute {attr!r}")
             if isinstance(val, str):
@@ -289,9 +259,9 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
                 assignments[attr] = budget_from_dict(val)
         return PerAttributePolicy(name, unit, risk_budgets, assignments)
     if kind == "category":
-        risk_budgets = {r: budget_from_dict(b) for r, b in _require(d, "risk_budgets", name).items()}
+        risk_budgets = {r: budget_from_dict(b) for r, b in d["risk_budgets"].items()}
         cats: dict[str, str] = {}
-        for cat, risk in _require(d, "categories", name).items():
+        for cat, risk in d["categories"].items():
             if cat not in categories:
                 raise ValidationError(f"policy {name!r} references unknown category {cat!r}")
             if risk not in risk_budgets:
@@ -307,10 +277,7 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
                     raise ValidationError(
                         f"policy {name!r}: attribute {attr!r} references undeclared category {cat!r}"
                     )
-                try:
-                    row[cat] = MembershipLevel(level)
-                except ValueError:
-                    raise ValidationError(f"unknown membership level {level!r}") from None
+                row[cat] = MembershipLevel(level)
             membership[attr] = row
         level_fns = d.get("level_functions", {})
         strong_fn = budget_fn_from_dict(level_fns["strong"]) if "strong" in level_fns else Identity()
@@ -320,9 +287,9 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
 
 
 def _parse_extension_policy(d: Mapping, units: set[str]) -> ExtensionPolicy:
-    name = _require(d, "name", "extension policy")
+    name = d["name"]
     exts = []
-    for e in _require(d, "extensions", f"extension policy {name!r}"):
+    for e in d["extensions"]:
         scope = e.get("unit_scope")
         if scope is not None:
             scope = frozenset(scope)
@@ -331,10 +298,10 @@ def _parse_extension_policy(d: Mapping, units: set[str]) -> ExtensionPolicy:
                 raise ValidationError(f"extension policy {name!r}: unknown units in scope {sorted(unknown)}")
         exts.append(
             Extension(
-                _require(e, "name", f"extension in {name!r}"),
-                predicate_from_dict(_require(e, "predicate", f"extension in {name!r}")),
+                e["name"],
+                predicate_from_dict(e["predicate"]),
                 budget_fn_from_dict(e.get("budget_fn", {"kind": "identity"})),
-                int(_require(e, "rank", f"extension in {name!r}")),
+                int(e["rank"]),
                 scope,
             )
         )
@@ -347,127 +314,48 @@ def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
     Top-level keys: ``units``, ``attributes``, ``categories``,
     ``base_policies``, ``extension_policies``, ``per_release_policies``.
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, Mapping):
-        raise ParseError("policy document must be a JSON object")
+    with reading("policy document"):
+        doc = json.loads(document) if isinstance(document, str) else document
+        if not isinstance(doc, Mapping):
+            raise ParseError("policy document must be a JSON object")
 
-    units = tuple(_parse_unit(u) for u in _require(doc, "units", "document"))
-    graph = UnitGraph(units)  # validates the declared order
-    unit_names = set(graph.units)
-    attributes = tuple(doc.get("attributes", ()))
-    categories = tuple(doc.get("categories", ()))
-    attr_set, cat_set = set(attributes), set(categories)
-    if len(attr_set) != len(attributes):
-        raise ValidationError("duplicate attribute names")
-    if len(cat_set) != len(categories):
-        raise ValidationError("duplicate category names")
+        graph = UnitGraph.from_dicts(doc["units"])  # validates the declared order
+        unit_names = set(graph.units)
+        attributes = tuple(doc.get("attributes", ()))
+        categories = tuple(doc.get("categories", ()))
+        attr_set, cat_set = set(attributes), set(categories)
+        if len(attr_set) != len(attributes):
+            raise ValidationError("duplicate attribute names")
+        if len(cat_set) != len(categories):
+            raise ValidationError("duplicate category names")
 
-    base = tuple(
-        _parse_base_policy(p, unit_names, attr_set, cat_set)
-        for p in doc.get("base_policies", ())
-    )
-    seen = set()
-    for p in base:
-        if p.name in seen:
-            raise ValidationError(f"duplicate policy name {p.name!r}")
-        seen.add(p.name)
-    exts = tuple(_parse_extension_policy(p, unit_names) for p in doc.get("extension_policies", ()))
-
-    per_release = []
-    for i, p in enumerate(doc.get("per_release_policies", ())):
-        name = p.get("name", f"per_release_{i}")
-        unit = _require(p, "unit", f"per-release policy {name!r}")
-        if unit not in unit_names:
-            raise ValidationError(f"per-release policy {name!r} references unknown unit {unit!r}")
-        per_release.append(
-            Rule(
-                name,
-                predicate_from_dict(_require(p, "predicate", name)),
-                unit,
-                budget_from_dict(_require(p, "budget", name)),
-                Provenance(name, i),
-            )
+        base = tuple(
+            _parse_base_policy(p, unit_names, attr_set, cat_set)
+            for p in doc.get("base_policies", ())
         )
-    return PolicySet(units, attributes, categories, base, exts, tuple(per_release))
+        seen = set()
+        for p in base:
+            if p.name in seen:
+                raise ValidationError(f"duplicate policy name {p.name!r}")
+            seen.add(p.name)
+        exts = tuple(_parse_extension_policy(p, unit_names) for p in doc.get("extension_policies", ()))
 
-
-def policy_set_to_dict(ps: PolicySet) -> dict:
-    """Serialize a policy set back to its document form."""
-    def base_to_dict(p: BasePolicy) -> dict:
-        if isinstance(p, CustomPolicy):
-            d = {
-                "type": "custom",
-                "name": p.name,
-                "unit": p.unit,
-                "predicate": predicate_to_dict(p.predicate),
-                "budget": budget_to_dict(p.budget),
-            }
-            if p.annotation is not None:
-                d["annotation"] = list(p.annotation)
-            return d
-        if isinstance(p, PerAttributePolicy):
-            return {
-                "type": "per_attribute",
-                "name": p.name,
-                "unit": p.unit,
-                "risk_budgets": {r: budget_to_dict(b) for r, b in p.risk_budgets.items()},
-                "attributes": {
-                    a: (v if isinstance(v, str) else budget_to_dict(v))
-                    for a, v in p.assignments.items()
-                },
-            }
-        return {
-            "type": "category",
-            "name": p.name,
-            "unit": p.unit,
-            "risk_budgets": {r: budget_to_dict(b) for r, b in p.risk_budgets.items()},
-            "categories": dict(p.categories),
-            "membership": {
-                a: {c: lvl.value for c, lvl in row.items()} for a, row in p.membership.items()
-            },
-            "level_functions": {
-                "strong": budget_fn_to_dict(p.strong_fn),
-                "weak": budget_fn_to_dict(p.weak_fn),
-            },
-        }
-
-    return {
-        "units": UnitGraph(ps.units).to_dicts(),
-        "attributes": list(ps.attributes),
-        "categories": list(ps.categories),
-        "base_policies": [base_to_dict(p) for p in ps.base_policies],
-        "extension_policies": [
-            {
-                "name": ep.name,
-                "extensions": [
-                    {
-                        "name": e.name,
-                        "predicate": predicate_to_dict(e.predicate),
-                        "budget_fn": budget_fn_to_dict(e.budget_fn),
-                        "rank": e.rank,
-                        **({"unit_scope": sorted(e.unit_scope)} if e.unit_scope is not None else {}),
-                    }
-                    for e in ep.extensions
-                ],
-            }
-            for ep in ps.extension_policies
-        ],
-        "per_release_policies": [
-            {
-                "name": r.rule_id,
-                "predicate": predicate_to_dict(r.predicate),
-                "unit": r.unit,
-                "budget": budget_to_dict(r.budget),
-            }
-            for r in ps.per_release
-        ],
-    }
+        per_release = []
+        for i, p in enumerate(doc.get("per_release_policies", ())):
+            name = p.get("name", f"per_release_{i}")
+            unit = p["unit"]
+            if unit not in unit_names:
+                raise ValidationError(f"per-release policy {name!r} references unknown unit {unit!r}")
+            per_release.append(
+                Rule(
+                    name,
+                    predicate_from_dict(p["predicate"]),
+                    unit,
+                    budget_from_dict(p["budget"]),
+                    Provenance(name, i),
+                )
+            )
+        return PolicySet(tuple(graph.units.values()), attributes, categories, base, exts, tuple(per_release))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, VariantMismatch
+from .errors import ValidationError, VariantMismatch, reading
 
 # Renyi orders used for every RDP curve in the system.  Fixed at configuration
 # time; all curves must have one entry per order.
@@ -543,6 +543,12 @@ class Rule:
     provenance: Provenance | None = None
     order_key: OrderKey | None = None
 
+    def __post_init__(self):
+        # both key the filter state and the per-unit costs
+        if not isinstance(self.rule_id, str):
+            raise ValidationError(f"rule id must be a string, got {self.rule_id!r}")
+        _check_name(self.unit, "unit name")
+
     def to_dict(self) -> dict:
         d = {
             "id": self.rule_id,
@@ -664,7 +670,7 @@ class ReleaseRequest:
     def from_dict(cls, d: Mapping, domain_size: int | None = None) -> "ReleaseRequest":
         if not isinstance(d, Mapping):
             raise ValidationError("a release request must be a JSON object")
-        try:
+        with reading("release request"):
             sel = d.get("pa_selection", [])
             if isinstance(sel, Mapping):
                 sel = expand_block_range(
@@ -678,8 +684,6 @@ class ReleaseRequest:
                 None if ts is None else operator.index(ts),
                 float(d.get("utility", 0.0)),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed release request: {exc!r}") from None
 
 
 def expand_block_range(start: int, length: int, domain_size: int | None) -> np.ndarray:

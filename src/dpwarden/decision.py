@@ -25,7 +25,7 @@ from .core import (
     eval_predicate,
     validate_alpha_orders,
 )
-from .errors import MissingCost, UnknownTimeStep, ValidationError, VariantMismatch
+from .errors import MissingCost, UnknownTimeStep, ValidationError, VariantMismatch, reading
 from .poset import RulePoset
 
 CELL_STATIC = "static"
@@ -154,6 +154,12 @@ class FilterState:
         w = self.domain.time_axis.granular_window if self.domain.time_axis else 0
         cutoff = new_now - w
         for per_rule in self._cells.values():
+            future = per_rule.get(CELL_FUTURE)
+            if future is not None:
+                # a release over all time also covers every step that opens
+                # now; steps already past the window reach hist through `cutoff`
+                for step in range(max(self.now + 1, cutoff), new_now + 1):
+                    per_rule[step_cell(step)] = future.copy()
             for cell in [c for c in per_rule if (s := _cell_step(c)) is not None and s <= cutoff]:
                 hist = per_rule.get(CELL_HIST)
                 if hist is None:
@@ -192,29 +198,42 @@ class FilterState:
 
     @classmethod
     def from_dict(cls, d: Mapping, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> "FilterState":
-        try:
+        with reading("state"):
+            unknown = set(d) - {"now", "domain", "cells"}
+            if unknown:
+                raise ValidationError(f"unknown state keys: {sorted(unknown)}")
             state = cls(BlockDomain.from_dict(d["domain"]), orders)
             state.now = int(d.get("now", state.now))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed state: {exc!r}") from None
-        n = state.domain.domain_size
-        for rid, per_rule in d.get("cells", {}).items():
-            for cell, payload in per_rule.items():
-                try:
+            if state.now < 0:
+                raise ValidationError("state time step must be >= 0")
+            addressable = {CELL_STATIC}
+            if state.domain.time_axis is not None:
+                addressable |= {CELL_HIST, CELL_FUTURE, *map(step_cell, state.granular_steps())}
+            n = state.domain.domain_size
+            for rid, per_rule in d.get("cells", {}).items():
+                for cell, payload in per_rule.items():
+                    if cell not in addressable:
+                        raise ValidationError(f"state cell {rid}/{cell}: not a cell of this state")
                     blocks = np.asarray(payload["blocks"])
                     curves = np.asarray(payload["curves"], dtype=float)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValidationError(f"state cell {rid}/{cell}: {exc!r}") from None
-                if blocks.ndim != 1 or (blocks.size and (
-                    blocks.dtype.kind not in "iu" or blocks.min() < 0 or blocks.max() >= n
-                )):
-                    raise ValidationError(f"state cell {rid}/{cell}: blocks must be integers in [0, {n})")
-                if curves.shape != (blocks.size, state.n_alpha) or not ((curves >= 0) & (curves < np.inf)).all():
-                    raise ValidationError(
-                        f"state cell {rid}/{cell}: curves must be one row of {state.n_alpha} "
-                        f"finite, non-negative values per block"
-                    )
-                state.ensure(rid, cell)[blocks] = curves
+                    if (
+                        blocks.ndim != 1
+                        # numpy reads a bool among ints as 0 or 1
+                        or bool in map(type, payload["blocks"])
+                        or (blocks.size and (
+                            blocks.dtype.kind not in "iu" or blocks.min() < 0 or blocks.max() >= n
+                            or (np.diff(np.sort(blocks)) == 0).any()
+                        ))
+                    ):
+                        raise ValidationError(
+                            f"state cell {rid}/{cell}: blocks must be integers in [0, {n}), each listed once"
+                        )
+                    if curves.shape != (blocks.size, state.n_alpha) or not ((curves >= 0) & (curves < np.inf)).all():
+                        raise ValidationError(
+                            f"state cell {rid}/{cell}: curves must be one row of {state.n_alpha} "
+                            f"finite, non-negative values per block"
+                        )
+                    state.ensure(rid, cell)[blocks] = curves
         return state
 
 

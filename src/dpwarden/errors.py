@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one boundary that
+turns a builtin error raised while reading a document into a typed one."""
+
+from contextlib import contextmanager
 
 
 class DPWardenError(Exception):
@@ -21,12 +24,12 @@ class NoConversionPath(DPWardenError):
     """No group-size factor declared between two privacy units."""
 
 
-class ParseError(DPWardenError):
-    """Malformed policy or request document."""
-
-
 class ValidationError(DPWardenError):
     """Well-formed document with inconsistent content."""
+
+
+class ParseError(ValidationError):
+    """Malformed policy, rule-set, request, state or config document."""
 
 
 class BudgetFnDomain(DPWardenError):
@@ -47,3 +50,13 @@ class UnknownTimeStep(DPWardenError):
 
 class ConfigError(DPWardenError):
     """Invalid workload or simulator configuration."""
+
+
+@contextmanager
+def reading(what: str):
+    """Read a document: a builtin error raised inside the block becomes a
+    ``ParseError`` naming the document; a ``DPWardenError`` passes through."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"malformed {what}: {exc!r}") from None

@@ -40,7 +40,7 @@ from .core import (
     expand_block_range,
 )
 from .decision import CELL_STATIC, BlockDomain, DecisionPoint, FilterState, TimeAxis
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .poset import build_poset, prune
 
 SCENARIOS = ("s1", "s2", "s3")
@@ -153,11 +153,11 @@ class WorkloadConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "WorkloadConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        with reading("workload config"):
+            unknown = set(d) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            return cls(**d)
 
 
 def s1_standard_epsilon(total_epsilon: float) -> float:

@@ -175,6 +175,61 @@ def test_check_rejects_malformed_state_without_writing(tmp_path, capsys):
     assert state.read_bytes() == before
 
 
+
+def _check_argv(tmp_path):
+    """A compiled rule set, a request and a state file not yet written."""
+    policies, rules, request, state = (tmp_path / n for n in ("policies.json", "rules.json",
+                                                              "req.json", "state.json"))
+    policies.write_text(json.dumps(policy_doc()))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    request.write_text(json.dumps(request_doc(0.1)))
+    return ["check", "--rules", str(rules), "--state", str(state), "--request", str(request)], rules, state
+
+
+def _check_with_rule_without_budget(tmp_path):
+    argv, rules, state = _check_argv(tmp_path)
+    doc = json.loads(rules.read_text())
+    del doc["rules"][0]["budget"]
+    rules.write_text(json.dumps(doc))
+    return argv, state
+
+
+def _check_with_state_not_json(tmp_path):
+    argv, _, state = _check_argv(tmp_path)
+    state.write_text('{"now": 0, "cells": ')
+    return argv, None
+
+
+def _compile_adp_without_delta(tmp_path):
+    doc = policy_doc()
+    del doc["base_policies"][0]["budget"]["delta"]
+    policies, rules = tmp_path / "policies.json", tmp_path / "rules.json"
+    policies.write_text(json.dumps(doc))
+    return ["compile", "--policies", str(policies), "-o", str(rules)], rules
+
+
+def _simulate_rounds_string(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": "x"}))
+    return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path / "out"
+
+
+@pytest.mark.parametrize("setup", [
+    _check_with_rule_without_budget,
+    _check_with_state_not_json,
+    _compile_adp_without_delta,
+    _simulate_rounds_string,
+])
+def test_malformed_document_exits_2_and_writes_nothing(tmp_path, capsys, setup):
+    argv, output = setup(tmp_path)
+    before = {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed") and "Traceback" not in err
+    assert output is None or not output.exists()
+    assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
+
 @pytest.fixture(scope="module")
 def check_files(tmp_path_factory):
     """A compiled rule set and a state file holding one accepted request."""

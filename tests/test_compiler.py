@@ -13,7 +13,6 @@ from dpwarden.compiler import (
     compile_policy_set,
     generate_base_rules,
     parse_policy_set,
-    policy_set_to_dict,
 )
 from dpwarden.core import (
     ADP,
@@ -21,6 +20,7 @@ from dpwarden.core import (
     HasLabel,
     LabelSet,
     PureDP,
+    RDP,
     TruePredicate,
     ZCDP,
     eval_predicate,
@@ -336,6 +336,10 @@ def test_budget_fn_variants():
     assert Scale(1.5).apply(ADP(2, 1e-7)) == ADP(3, 1e-7)
     assert Scale(2.0).apply(ZCDP(0.1)) == ZCDP(0.2)
     assert Scale(3.0).apply(PureDP(1)) == PureDP(3)
+    assert Scale(2.0).apply(RDP((0.5, 1.0))) == RDP((1.0, 2.0))
+    for factor in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            Scale(factor)
     assert Identity().apply(ADP(2, 1e-7)) == ADP(2, 1e-7)
     with pytest.raises(UnsupportedVariant):
         from dpwarden.accounting import gaussian_curve
@@ -447,13 +451,3 @@ def test_extension_policy_order_independence():
     assert decisions[0] == decisions[1]
     assert True in decisions[0] and False in decisions[0]
 
-
-def test_policy_set_round_trips_through_document_form():
-    cfg = WorkloadConfig(scenario="s2", total_epsilon=20.0, rng_seed=1)
-    doc = build_policy_document(cfg, build_schema(cfg))
-    doc["extension_policies"] = [context_extension_policy()]
-    ps = parse_policy_set(doc)
-    ps2 = parse_policy_set(policy_set_to_dict(ps))
-    ids1 = [r.rule_id for r in compile_policy_set(ps)]
-    ids2 = [r.rule_id for r in compile_policy_set(ps2)]
-    assert ids1 == ids2

@@ -30,6 +30,7 @@ from dpwarden.core import (
 )
 from dpwarden.decision import (
     BlockDomain,
+    CELL_FUTURE,
     CELL_HIST,
     DecisionPoint,
     FilterState,
@@ -198,6 +199,18 @@ def test_collapse_examples():
     assert np.array_equal(merged[1], c2[1])
 
 
+
+def test_release_over_all_time_charges_steps_that_open_later():
+    point = _monthly_point(budget_eps=1.0, window=2, horizon=2)
+    assert point.process(_time_request("all", None, eps=0.8)).accepted
+    point.advance_time(3)
+    assert not point.process(_time_request("q3", 3, eps=0.8)).accepted
+    # a long jump opens only the window; the steps it skips reach hist
+    point.advance_time(9)
+    assert set(point.state._cells["monthly"]) == {CELL_HIST, step_cell(8), step_cell(9), CELL_FUTURE}
+    for month in (5, 9):
+        assert not point.process(_time_request(f"q{month}", month, eps=0.8)).accepted
+
 def test_collapse_monotone_never_forgets():
     rng = np.random.default_rng(5)
     domain = BlockDomain(("pa",), 4, TimeAxis("m", 3, 6))
@@ -344,6 +357,8 @@ def test_state_load_places_each_curve_at_its_block():
         ([0], [_ROW[:-1] + ["x"]]),
         ([0, 1], [_ROW]),                   # fewer curves than blocks
         ([0], [_ROW, _ROW]),                # more curves than blocks
+        ([True, 2], [_ROW, _ROW]),          # numpy reads a bool among ints as 0 or 1
+        ([1, 1], [_ROW, [2 * c for c in _ROW]]),  # a duplicate would keep the last curve
     ],
 )
 def test_state_load_fails_closed(blocks, curves):
@@ -358,6 +373,15 @@ def test_state_load_fails_closed(blocks, curves):
         lambda doc: doc.pop("domain"),
         lambda doc: doc.update(now="x"),
         lambda doc: doc["domain"].update(domain_size=None),
+        lambda doc: doc.update(cels=doc.pop("cells")),  # a typo would reset the budget
+        lambda doc: doc["cells"]["r"].update(bogus=doc["cells"]["r"]["static"]),
+        lambda doc: doc["cells"]["r"].update(t0=doc["cells"]["r"]["static"]),  # no time axis
+        lambda doc: (  # beyond the frontier
+            doc["domain"].update(time_axis={"unit": "m", "granular_window": 3, "horizon": 6}),
+            doc.update(now=6),
+            doc["cells"]["r"].update(t9=doc["cells"]["r"]["static"]),
+        ),
+        lambda doc: doc.update(now=-1),
     ],
 )
 def test_state_load_rejects_missing_or_mistyped_fields(edit):
