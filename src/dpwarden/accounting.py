@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import optimize
@@ -31,32 +31,30 @@ from .errors import (
 )
 
 
-def zero_curve(orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> RDP:
-    return RDP((0.0,) * len(orders))
+def zero_curve() -> RDP:
+    return RDP((0.0,) * len(DEFAULT_ALPHA_ORDERS))
 
 
-def gaussian_curve(rho: float, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> RDP:
+def gaussian_curve(rho: float) -> RDP:
     """RDP curve of a Gaussian-family mechanism: rho * alpha at each order."""
     if rho < 0:
         raise ValidationError("rho must be non-negative")
-    return RDP(tuple(rho * a for a in orders))
+    return RDP(tuple(rho * a for a in DEFAULT_ALPHA_ORDERS))
 
 
-def pure_curve(epsilon: float, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> RDP:
+def pure_curve(epsilon: float) -> RDP:
     """RDP curve of a pure epsilon-DP mechanism, constant across orders."""
     if epsilon < 0:
         raise ValidationError("epsilon must be non-negative")
-    return RDP((epsilon,) * len(orders))
+    return RDP((epsilon,) * len(DEFAULT_ALPHA_ORDERS))
 
 
-def compose_rdp(costs: Iterable[RDP], orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> RDP:
+def compose_rdp(costs: Iterable[RDP]) -> RDP:
     """Sequential composition of RDP costs: pointwise sum per alpha order."""
-    total = [0.0] * len(orders)
+    total = [0.0] * len(DEFAULT_ALPHA_ORDERS)
     for c in costs:
         if not isinstance(c, RDP):
             raise VariantMismatch(f"compose_rdp expects RDP curves, got {type(c).__name__}")
-        if len(c.curve) != len(orders):
-            raise VariantMismatch("RDP curve not over the configured alpha orders")
         for i, v in enumerate(c.curve):
             total[i] += v
     return RDP(tuple(total))
@@ -76,53 +74,51 @@ def compose_adp_basic(costs: Iterable[ADP]) -> ADP:
     return ADP(eps, delta)
 
 
-def rdp_to_adp(cost: RDP, delta: float, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> ADP:
+def rdp_to_adp(cost: RDP, delta: float) -> ADP:
     """Convert an RDP curve to approximate DP at a target delta.
 
-    epsilon = min over the configured orders of curve(a) + ln(1/delta)/(a-1).
+    epsilon = min over the alpha orders of curve(a) + ln(1/delta)/(a-1).
     """
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
-    if len(cost.curve) != len(orders):
-        raise VariantMismatch("RDP curve not over the configured alpha orders")
     ln1d = math.log(1.0 / delta)
-    eps = min(c + ln1d / (a - 1.0) for c, a in zip(cost.curve, orders))
+    eps = min(c + ln1d / (a - 1.0) for c, a in zip(cost.curve, DEFAULT_ALPHA_ORDERS))
     return ADP(eps, delta)
 
 
 @lru_cache(maxsize=64)
-def _adp_offsets(delta: float, orders: tuple[float, ...]) -> np.ndarray:
+def _adp_offsets(delta: float) -> np.ndarray:
     """ln(1/delta)/(a-1) per order, the RDP-to-ADP term of ``rdp_to_adp``."""
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
-    offsets = math.log(1.0 / delta) / (np.asarray(orders) - 1.0)
+    offsets = math.log(1.0 / delta) / (np.asarray(DEFAULT_ALPHA_ORDERS) - 1.0)
     offsets.flags.writeable = False  # one cached array is shared by every caller
     return offsets
 
 
-def _curve_rows(curves, orders: Sequence[float]) -> np.ndarray:
+def _curve_rows(curves) -> np.ndarray:
     rows = np.asarray(curves)
-    if rows.shape[-1:] != (len(orders),):
+    if rows.shape[-1:] != (len(DEFAULT_ALPHA_ORDERS),):
         raise VariantMismatch("RDP curve not over the configured alpha orders")
     return rows
 
 
-def rdp_epsilon(curves, delta: float, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> np.ndarray:
+def rdp_epsilon(curves, delta: float) -> np.ndarray:
     """Vectorised ``rdp_to_adp``: the epsilon at ``delta`` of each row of RDP
     curves (last axis over the orders), min over a of curve(a) + ln(1/delta)/(a-1)."""
-    return (_curve_rows(curves, orders) + _adp_offsets(delta, tuple(orders))).min(axis=-1)
+    return (_curve_rows(curves) + _adp_offsets(delta)).min(axis=-1)
 
 
-def within_budget(curves, budget: PrivacyBudget, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> np.ndarray:
+def within_budget(curves, budget: PrivacyBudget) -> np.ndarray:
     """Vectorised ``filter_check`` on composed curves: one verdict per row.
 
     ADP budgets are checked through ``rdp_epsilon``; RDP budgets accept a row
     when some order stays within the budget curve.
     """
     if isinstance(budget, ADP):
-        return rdp_epsilon(curves, budget.delta, orders) <= budget.epsilon
+        return rdp_epsilon(curves, budget.delta) <= budget.epsilon
     if isinstance(budget, RDP):
-        return (_curve_rows(curves, orders) <= _curve_rows(budget.curve, orders)).any(axis=-1)
+        return (_curve_rows(curves) <= budget.curve).any(axis=-1)
     raise VariantMismatch(f"filter budgets must be ADP or RDP, got {type(budget).__name__}")
 
 
@@ -208,24 +204,17 @@ def epsilon_for_auxiliary_unit(sigma: float, aux_delta2: float, delta: float) ->
     return aux_delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / sigma
 
 
-def filter_check(
-    cumulative: RDP,
-    new_cost: RDP,
-    budget: PrivacyBudget,
-    orders: Sequence[float] = DEFAULT_ALPHA_ORDERS,
-) -> bool:
+def filter_check(cumulative: RDP, new_cost: RDP, budget: PrivacyBudget) -> bool:
     """Would admitting ``new_cost`` on top of ``cumulative`` stay within budget?
 
     RDP budgets accept when some order stays within the curve; ADP budgets
     convert the composed curve at the budget's delta.
     """
-    composed = compose_rdp([cumulative, new_cost], orders)
+    composed = compose_rdp([cumulative, new_cost])
     if isinstance(budget, RDP):
-        if len(budget.curve) != len(orders):
-            raise VariantMismatch("budget curve not over the configured alpha orders")
         return any(c <= b for c, b in zip(composed.curve, budget.curve))
     if isinstance(budget, ADP):
-        return rdp_to_adp(composed, budget.delta, orders).epsilon <= budget.epsilon
+        return rdp_to_adp(composed, budget.delta).epsilon <= budget.epsilon
     raise VariantMismatch(f"filter budgets must be ADP or RDP, got {type(budget).__name__}")
 
 
@@ -245,13 +234,13 @@ def scale_budget(budget: PrivacyBudget, fraction: float) -> PrivacyBudget:
 
 
 @lru_cache(maxsize=256)
-def _calibrate_cached(epsilon: float, delta: float, orders: tuple[float, ...]) -> float:
-    floor = rdp_to_adp(zero_curve(orders), delta, orders).epsilon
+def _calibrate_cached(epsilon: float, delta: float) -> float:
+    floor = rdp_to_adp(zero_curve(), delta).epsilon
     if epsilon <= floor:
         return 0.0
 
     def gap(rho: float) -> float:
-        return rdp_to_adp(gaussian_curve(rho, orders), delta, orders).epsilon - epsilon
+        return rdp_to_adp(gaussian_curve(rho), delta).epsilon - epsilon
 
     hi = 1.0
     while gap(hi) < 0:
@@ -259,15 +248,11 @@ def _calibrate_cached(epsilon: float, delta: float, orders: tuple[float, ...]) -
     return float(optimize.brentq(gap, 0.0, hi, xtol=1e-15, rtol=1e-14))
 
 
-def calibrate_gaussian_rho(
-    epsilon: float,
-    delta: float,
-    orders: Sequence[float] = DEFAULT_ALPHA_ORDERS,
-) -> float:
+def calibrate_gaussian_rho(epsilon: float, delta: float) -> float:
     """Find rho so the Gaussian curve rho*alpha converts to the target epsilon
-    at the given delta over the configured orders."""
+    at the given delta over the alpha orders."""
     if epsilon < 0:
         raise ValidationError("epsilon must be non-negative")
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
-    return _calibrate_cached(float(epsilon), float(delta), tuple(orders))
+    return _calibrate_cached(float(epsilon), float(delta))

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .compiler import compile_policy_set, parse_policy_set
-from .core import DEFAULT_ALPHA_ORDERS, ReleaseRequest, Rule, UnitGraph, validate_alpha_orders
+from .core import DEFAULT_ALPHA_ORDERS, ReleaseRequest, Rule, UnitGraph
 from .decision import BlockDomain, DecisionPoint, FilterState, TimeAxis
 from .errors import DPWardenError, ParseError, reading
 from .poset import RulePoset, build_poset, prune_with_report, to_dot
@@ -51,36 +51,37 @@ def _read_json(path: str, what: str):
         return json.loads(Path(path).read_text())
 
 
-def _load_rules(path: str) -> tuple[RulePoset, list[Rule], tuple[float, ...]]:
-    """The rule poset, the per-release rules and the alpha orders of a
-    compiled rule set, all built inside the document boundary."""
+def _load_rules(path: str) -> tuple[RulePoset, list[Rule]]:
+    """The rule poset and the per-release rules of a compiled rule set, both
+    built inside the document boundary."""
     with reading("rule set"):
         doc = json.loads(Path(path).read_text())
         if doc.get("format") != RULES_FORMAT:
             raise ParseError(f"{path} is not a compiled rule set")
+        if doc["alpha_orders"] != list(DEFAULT_ALPHA_ORDERS):
+            raise ParseError(f"{path} was compiled for other alpha orders than {list(DEFAULT_ALPHA_ORDERS)}")
         poset = build_poset([Rule.from_dict(d) for d in doc["rules"]], UnitGraph.from_dicts(doc["units"]))
-        per_release = [Rule.from_dict(d) for d in doc.get("per_release_rules", ())]
-        return poset, per_release, validate_alpha_orders(doc["alpha_orders"])
+        return poset, [Rule.from_dict(d) for d in doc.get("per_release_rules", ())]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    poset, per_release, orders = _load_rules(args.rules)
+    poset, per_release = _load_rules(args.rules)
     axis = TimeAxis(args.time_unit, args.window, args.horizon) if args.time_unit else None
-    point = DecisionPoint(poset, per_release, BlockDomain((), args.blocks, axis), orders)
+    point = DecisionPoint(poset, per_release, BlockDomain((), args.blocks, axis))
 
     state_path = Path(args.state)
     if state_path.exists():
-        point.state = FilterState.from_dict(_read_json(args.state, "state"), orders)
+        point.state = FilterState.from_dict(_read_json(args.state, "state"))
 
     request = ReleaseRequest.from_dict(
         _read_json(args.request, "release request"), domain_size=point.state.domain.domain_size
     )
     decision = point.process(request, args.scale)
+    if decision.accepted:  # before any output: a failed write prints no verdict
+        state_path.write_text(json.dumps(point.state.to_dict()))
     result = decision.to_dict()
     result["headroom"] = point.headroom(args.scale)
     print(json.dumps(result, indent=2))
-    if decision.accepted:
-        state_path.write_text(json.dumps(point.state.to_dict()))
     return 0 if decision.accepted else 1
 
 
@@ -97,17 +98,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    summary = json.loads((Path(args.indir) / "summary.json").read_text())
-    print(
-        f"scenario={summary['scenario']} mode={summary['mode']} "
-        f"eps_total={summary['total_epsilon']} rounds={summary['rounds']}"
-    )
-    print(f"total utility: {summary['total_utility']:.4f}")
-    print(f"scope rows with violations: {summary['violation_rounds']}")
-    for name, sc in summary["final"].items():
-        bound = "-" if sc["bound"] is None else f"{sc['bound']:.3f}"
-        flag = " VIOLATION" if sc["violation"] else ""
-        print(f"  {name}: eps={sc['cumulative_epsilon']:.4f} bound={bound}{flag}")
+    summary = _read_json(str(Path(args.indir) / "summary.json"), "simulation summary")
+    with reading("simulation summary"):
+        lines = [
+            f"scenario={summary['scenario']} mode={summary['mode']} "
+            f"eps_total={summary['total_epsilon']} rounds={summary['rounds']}",
+            f"total utility: {summary['total_utility']:.4f}",
+            f"scope rows with violations: {summary['violation_rounds']}",
+        ]
+        for name, sc in summary["final"].items():
+            bound = "-" if sc["bound"] is None else f"{sc['bound']:.3f}"
+            flag = " VIOLATION" if sc["violation"] else ""
+            lines.append(f"  {name}: eps={sc['cumulative_epsilon']:.4f} bound={bound}{flag}")
+    print("\n".join(lines))
     return 0
 
 
@@ -148,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DPWardenError as exc:
+    except (DPWardenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

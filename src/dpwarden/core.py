@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError, VariantMismatch, reading
 
-# Renyi orders used for every RDP curve in the system.  Fixed at configuration
-# time; all curves must have one entry per order.
+# Renyi orders used for every RDP curve in the system; ``RDP`` refuses a
+# curve without one entry per order.
 DEFAULT_ALPHA_ORDERS: tuple[float, ...] = (
     1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0, 1e6, 1e10,
 )
@@ -32,17 +32,6 @@ def _check_name(value: str, what: str) -> str:
     if not isinstance(value, str) or not _NAME_RE.match(value):
         raise ValidationError(f"{what} must be a non-empty string over [A-Za-z0-9_.-], got {value!r}")
     return value
-
-
-def validate_alpha_orders(orders: Iterable[float]) -> tuple[float, ...]:
-    out = tuple(float(a) for a in orders)
-    if not out:
-        raise ValidationError("alpha orders must be non-empty")
-    if any(a <= 1.0 for a in out):
-        raise ValidationError("alpha orders must all be > 1")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValidationError("alpha orders must be strictly increasing")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +77,10 @@ class RDP:
         object.__setattr__(self, "curve", curve)
         if not all(c >= 0 for c in curve):
             raise ValidationError("RDP curve entries must be non-negative")
+        if len(curve) != len(DEFAULT_ALPHA_ORDERS):
+            raise ValidationError(
+                f"RDP curve has {len(curve)} entries, not one per alpha order ({len(DEFAULT_ALPHA_ORDERS)})"
+            )
 
 
 @dataclass(frozen=True)
@@ -118,13 +111,8 @@ def budget_leq(b1: PrivacyBudget, b2: PrivacyBudget) -> bool:
     if isinstance(b1, ADP):
         return b1.epsilon <= b2.epsilon and b1.delta <= b2.delta
     if isinstance(b1, RDP):
-        if len(b1.curve) != len(b2.curve):
-            raise VariantMismatch("RDP curves are over different alpha-order lists")
         return all(a <= b for a, b in zip(b1.curve, b2.curve))
     return b1.rho <= b2.rho
-
-
-_BUDGET_KINDS = {"pure_dp": PureDP, "adp": ADP, "rdp": RDP, "zcdp": ZCDP}
 
 
 def budget_to_dict(b: PrivacyBudget) -> dict:

@@ -23,10 +23,12 @@ from .core import (
     ReleaseRequest,
     Rule,
     eval_predicate,
-    validate_alpha_orders,
 )
-from .errors import MissingCost, UnknownTimeStep, ValidationError, VariantMismatch, reading
+from .errors import MissingCost, UnknownTimeStep, ValidationError, reading
 from .poset import RulePoset
+
+# width of an accumulator row: one entry per alpha order
+N_ALPHA = len(DEFAULT_ALPHA_ORDERS)
 
 CELL_STATIC = "static"
 CELL_HIST = "hist"
@@ -103,10 +105,8 @@ class BlockDomain:
 class FilterState:
     """Cumulative RDP accumulators per (rule, block, time cell)."""
 
-    def __init__(self, domain: BlockDomain, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS):
+    def __init__(self, domain: BlockDomain):
         self.domain = domain
-        self.orders = validate_alpha_orders(orders)
-        self.n_alpha = len(self.orders)
         self.now = domain.time_axis.horizon if domain.time_axis else 0
         self._cells: dict[str, dict[str, np.ndarray]] = {}
 
@@ -141,7 +141,7 @@ class FilterState:
         per_rule = self._cells.setdefault(rule_id, {})
         arr = per_rule.get(cell)
         if arr is None:
-            arr = np.zeros((self.domain.domain_size, self.n_alpha))
+            arr = np.zeros((self.domain.domain_size, N_ALPHA))
             per_rule[cell] = arr
         return arr
 
@@ -163,14 +163,14 @@ class FilterState:
             for cell in [c for c in per_rule if (s := _cell_step(c)) is not None and s <= cutoff]:
                 hist = per_rule.get(CELL_HIST)
                 if hist is None:
-                    hist = np.zeros((self.domain.domain_size, self.n_alpha))
+                    hist = np.zeros((self.domain.domain_size, N_ALPHA))
                     per_rule[CELL_HIST] = hist
                 np.maximum(hist, per_rule[cell], out=hist)
                 del per_rule[cell]
         self.now = new_now
 
     def copy(self) -> "FilterState":
-        dup = FilterState(self.domain, self.orders)
+        dup = FilterState(self.domain)
         dup.now = self.now
         dup._cells = {
             rid: {cell: arr.copy() for cell, arr in per_rule.items()}
@@ -197,12 +197,12 @@ class FilterState:
         return {"now": self.now, "domain": self.domain.to_dict(), "cells": cells}
 
     @classmethod
-    def from_dict(cls, d: Mapping, orders: Sequence[float] = DEFAULT_ALPHA_ORDERS) -> "FilterState":
+    def from_dict(cls, d: Mapping) -> "FilterState":
         with reading("state"):
             unknown = set(d) - {"now", "domain", "cells"}
             if unknown:
                 raise ValidationError(f"unknown state keys: {sorted(unknown)}")
-            state = cls(BlockDomain.from_dict(d["domain"]), orders)
+            state = cls(BlockDomain.from_dict(d["domain"]))
             state.now = int(d.get("now", state.now))
             if state.now < 0:
                 raise ValidationError("state time step must be >= 0")
@@ -228,9 +228,9 @@ class FilterState:
                         raise ValidationError(
                             f"state cell {rid}/{cell}: blocks must be integers in [0, {n}), each listed once"
                         )
-                    if curves.shape != (blocks.size, state.n_alpha) or not ((curves >= 0) & (curves < np.inf)).all():
+                    if curves.shape != (blocks.size, N_ALPHA) or not ((curves >= 0) & (curves < np.inf)).all():
                         raise ValidationError(
-                            f"state cell {rid}/{cell}: curves must be one row of {state.n_alpha} "
+                            f"state cell {rid}/{cell}: curves must be one row of {N_ALPHA} "
                             f"finite, non-negative values per block"
                         )
                     state.ensure(rid, cell)[blocks] = curves
@@ -262,11 +262,7 @@ class Decision:
         }
 
 
-def check_per_release(
-    request: ReleaseRequest,
-    per_release_rules: Sequence[Rule],
-    orders: Sequence[float] = DEFAULT_ALPHA_ORDERS,
-) -> Decision:
+def check_per_release(request: ReleaseRequest, per_release_rules: Sequence[Rule]) -> Decision:
     """Stage one: every mechanism's own cost must fit every matching
     per-release rule.  Stateless."""
     violations = []
@@ -280,7 +276,7 @@ def check_per_release(
                     f"request {request.request_id!r}: no cost for unit {rule.unit!r} "
                     f"required by per-release rule {rule.rule_id!r}"
                 )
-            if not within_budget(cost.curve, rule.budget, orders):
+            if not within_budget(cost.curve, rule.budget):
                 violations.append(Violation(rule.rule_id, "per_release"))
     if violations:
         return Decision(False, "per_release", tuple(violations))
@@ -341,12 +337,9 @@ def check_and_commit(
         mech_idx = matches[i]
         if not mech_idx:
             continue
-        cost = np.zeros(state.n_alpha)
+        cost = np.zeros(N_ALPHA)
         for m in mech_idx:
-            curve = request.mechanisms[m].cost_by_unit[rule.unit].curve
-            if len(curve) != state.n_alpha:
-                raise VariantMismatch("cost curve not over the configured alpha orders")
-            cost += np.asarray(curve)
+            cost += np.asarray(request.mechanisms[m].cost_by_unit[rule.unit].curve)
         time_based = time_axis is not None and rule.unit == time_axis.unit
         cells = state.cells_for(time_based, request.time_step)
         if sel.size == 0:
@@ -355,7 +348,7 @@ def check_and_commit(
         for cell in cells:
             arr = state.array(rule.rule_id, cell)
             rows = cost[None, :] if arr is None else arr[sel] + cost
-            if not within_budget(rows, budget, state.orders).all():
+            if not within_budget(rows, budget).all():
                 violations.append(Violation(rule.rule_id, "cumulative", cell))
         plan.append((rule.rule_id, cells, cost))
 
@@ -377,7 +370,7 @@ def headroom(state: FilterState, poset: RulePoset, budget_scale: float = 1.0) ->
             consumed = 0.0
             for arr in per_rule.values():
                 if arr.any():
-                    consumed = max(consumed, float(rdp_epsilon(arr, budget.delta, state.orders).max()))
+                    consumed = max(consumed, float(rdp_epsilon(arr, budget.delta).max()))
             out[rule.rule_id] = {
                 "budget_epsilon": budget.epsilon,
                 "consumed_epsilon": consumed,
@@ -403,14 +396,13 @@ class DecisionPoint:
         poset: RulePoset,
         per_release_rules: Sequence[Rule] = (),
         domain: BlockDomain | None = None,
-        orders: Sequence[float] = DEFAULT_ALPHA_ORDERS,
     ):
         self.poset = poset
         self.per_release_rules = tuple(per_release_rules)
-        self.state = FilterState(domain or BlockDomain(), orders)
+        self.state = FilterState(domain or BlockDomain())
 
     def process(self, request: ReleaseRequest, budget_scale: float = 1.0) -> Decision:
-        first = check_per_release(request, self.per_release_rules, self.state.orders)
+        first = check_per_release(request, self.per_release_rules)
         if not first.accepted:
             return first
         return check_and_commit(self.state, request, self.poset, budget_scale)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -24,7 +25,6 @@ from .compiler import MapTable, MembershipLevel, compile_policy_set, parse_polic
 from .core import (
     ADP,
     AttrIntersects,
-    DEFAULT_ALPHA_ORDERS,
     BASE_TOP,
     HasLabel,
     LabelSet,
@@ -39,7 +39,7 @@ from .core import (
     eval_predicate,
     expand_block_range,
 )
-from .decision import CELL_STATIC, BlockDomain, DecisionPoint, FilterState, TimeAxis
+from .decision import N_ALPHA, BlockDomain, DecisionPoint, TimeAxis
 from .errors import ConfigError, reading
 from .poset import build_poset, prune
 
@@ -92,6 +92,16 @@ class WorkloadConfig:
     mechanisms: dict = field(default_factory=lambda: {k: dict(v) for k, v in DEFAULT_MECHANISMS.items()})
 
     def __post_init__(self):
+        # every field by its annotation; a wrong type raises TypeError, which
+        # ``from_dict`` reports as a malformed document
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (type(value) is bool or not isinstance(value, int)):
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_number(value):
+                raise TypeError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         for name, value in (
@@ -101,9 +111,17 @@ class WorkloadConfig:
             ("pa_range_unit", self.pa_range_unit),
             ("n_attributes", self.n_attributes),
             ("n_categories", self.n_categories),
+            ("rounds_per_month", self.rounds_per_month),
         ):
             if value < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
+        if self.month_window < 2:
+            raise ConfigError("month_window must be >= 2")
+        # utility raises the selection share and the level to these powers; both can be 0
+        if self.utility_alpha < 0 or self.utility_beta < 0:
+            raise ConfigError("utility exponents must be non-negative")
         if self.requests_per_round <= 0 or self.total_epsilon <= 0:
             raise ConfigError("request rate and total budget must be positive")
         for name, p in (
@@ -117,6 +135,14 @@ class WorkloadConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.start_month < self.month_window - 1:
             raise ConfigError("start_month must cover the selection window")
+        if not isinstance(self.mechanisms, Mapping) or not self.mechanisms:
+            raise ConfigError("mechanisms must be a non-empty mapping of mechanism specs")
+        for name, spec in self.mechanisms.items():
+            if not _well_formed_mechanism(spec):
+                raise ConfigError(
+                    f"mechanism {name!r} needs family 'gaussian' or 'pure', a non-empty list of "
+                    f"non-negative levels, two positive pa_beta values and a boolean ml"
+                )
 
     @classmethod
     def desk_scale(cls, scenario: str, total_epsilon: float, rng_seed: int = 0) -> "WorkloadConfig":
@@ -158,6 +184,23 @@ class WorkloadConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             return cls(**d)
+
+
+def _is_number(value) -> bool:
+    return type(value) is not bool and isinstance(value, (int, float))
+
+
+def _well_formed_mechanism(spec) -> bool:
+    """A mechanism spec as ``generate_workload`` reads it."""
+    return (
+        isinstance(spec, Mapping)
+        and spec.get("family") in ("gaussian", "pure")
+        and isinstance(spec.get("levels"), (list, tuple)) and len(spec["levels"]) > 0
+        and all(_is_number(x) and 0 <= x < math.inf for x in spec["levels"])
+        and isinstance(spec.get("pa_beta"), (list, tuple)) and len(spec["pa_beta"]) == 2
+        and all(_is_number(x) and 0 < x < math.inf for x in spec["pa_beta"])
+        and isinstance(spec.get("ml", False), bool)
+    )
 
 
 def s1_standard_epsilon(total_epsilon: float) -> float:
@@ -364,8 +407,7 @@ def build_policy_document(cfg: WorkloadConfig, schema: WorkloadSchema) -> dict:
 # Request generation
 # ---------------------------------------------------------------------------
 
-def request_cost_curve(family: str, epsilon: float, delta: float,
-                       orders: tuple[float, ...] = DEFAULT_ALPHA_ORDERS) -> RDP:
+def request_cost_curve(family: str, epsilon: float, delta: float) -> RDP:
     """RDP curve for one mechanism invocation at a stated epsilon level.
 
     Gaussian-family mechanisms get a rho*alpha curve calibrated so the curve
@@ -373,9 +415,9 @@ def request_cost_curve(family: str, epsilon: float, delta: float,
     mechanisms get a constant curve.
     """
     if family == "gaussian":
-        return gaussian_curve(calibrate_gaussian_rho(epsilon, delta, orders), orders)
+        return gaussian_curve(calibrate_gaussian_rho(epsilon, delta))
     if family == "pure":
-        return pure_curve(epsilon, orders)
+        return pure_curve(epsilon)
     raise ConfigError(f"unknown mechanism family {family!r}")
 
 
@@ -514,8 +556,8 @@ class ScenarioResult:
 
 class _Scope:
     """Post-hoc per-scope accounting, independent of the decision point: a
-    monitor-only filter whose accumulator is the static cell of its own
-    ``FilterState``, keyed by the scope name."""
+    monitor-only filter with one RDP accumulator row per block, allocated on
+    the first charge."""
 
     def __init__(self, name: str, predicate: Predicate, unit: str, bound: float | None,
                  cfg: WorkloadConfig, month: int | None = None):
@@ -525,7 +567,8 @@ class _Scope:
         self.bound = bound
         self.month = month
         self.delta = cfg.delta_budget
-        self.state = FilterState(BlockDomain(("pa",), cfg.pa_domain_size))
+        self.domain_size = cfg.pa_domain_size
+        self._acc: np.ndarray | None = None
 
     def add(self, request: ReleaseRequest) -> None:
         if self.month is not None and request.time_step != self.month:
@@ -538,11 +581,12 @@ class _Scope:
             cost = mech.cost_by_unit.get(self.unit)
             if cost is None:
                 continue
-            self.state.ensure(self.name, CELL_STATIC)[request.pa_selection] += np.asarray(cost.curve)
+            if self._acc is None:
+                self._acc = np.zeros((self.domain_size, N_ALPHA))
+            self._acc[request.pa_selection] += np.asarray(cost.curve)
 
     def report(self) -> ScopeCost:
-        acc = self.state.array(self.name, CELL_STATIC)
-        eps = 0.0 if acc is None else float(rdp_epsilon(acc, self.delta, self.state.orders).max())
+        eps = 0.0 if self._acc is None else float(rdp_epsilon(self._acc, self.delta).max())
         violation = self.bound is not None and eps > self.bound + 1e-9
         return ScopeCost(eps, self.bound, violation)
 

@@ -152,10 +152,9 @@ class NaiveEngine:
     the optimized decision point against first-principles filtering.
     """
 
-    def __init__(self, rules, orders=DEFAULT_ALPHA_ORDERS):
+    def __init__(self, rules):
         self.rules = list(rules)
-        self.orders = orders
-        self.acc = {r.rule_id: zero_curve(orders) for r in self.rules}
+        self.acc = {r.rule_id: zero_curve() for r in self.rules}
 
     def process(self, request: ReleaseRequest, budget_scale: float = 1.0) -> bool:
         charges = {}
@@ -165,13 +164,13 @@ class NaiveEngine:
             ]
             if not matching or request.pa_selection.size == 0:
                 continue
-            cost = compose_rdp([m.cost_by_unit[rule.unit] for m in matching], self.orders)
+            cost = compose_rdp([m.cost_by_unit[rule.unit] for m in matching])
             budget = scale_budget(rule.budget, budget_scale)
-            if not filter_check(self.acc[rule.rule_id], cost, budget, self.orders):
+            if not filter_check(self.acc[rule.rule_id], cost, budget):
                 return False
             charges[rule.rule_id] = cost
         for rule_id, cost in charges.items():
-            self.acc[rule_id] = compose_rdp([self.acc[rule_id], cost], self.orders)
+            self.acc[rule_id] = compose_rdp([self.acc[rule_id], cost])
         return True
 
 

@@ -26,7 +26,7 @@ from dpwarden.accounting import (
     zcdp_to_adp,
 )
 from dpwarden.compiler import compile_policy_set, generate_base_rules, parse_policy_set
-from dpwarden.core import ADP, RDP, ZCDP
+from dpwarden.core import ADP, DEFAULT_ALPHA_ORDERS, RDP, ZCDP
 from dpwarden.decision import BlockDomain, DecisionPoint, TimeAxis
 from dpwarden.poset import build_poset, prune, prune_with_report
 from dpwarden.workload import (
@@ -184,7 +184,7 @@ def test_decision_point_soundness():
         for (rule_id, _cell), arr in acc.items():
             budget = budgets[rule_id]
             for block in np.flatnonzero(arr.any(axis=1)):
-                assert _curve_fits(arr[block], budget, point.state.orders)
+                assert _curve_fits(arr[block], budget, DEFAULT_ALPHA_ORDERS)
     elapsed = time.perf_counter() - start
     assert n_rejects_checked > 50
     _ok(

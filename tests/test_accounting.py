@@ -261,7 +261,7 @@ def test_kernel_rejects_other_variants_and_orders():
         within_budget(rows, ZCDP(1.0))
     with pytest.raises(VariantMismatch):
         within_budget([[0.1]], ADP(1.0, 1e-7))
-    with pytest.raises(VariantMismatch):
-        within_budget(rows, RDP((1.0,)))
+    with pytest.raises(ValidationError):
+        RDP((1.0,))
     with pytest.raises(ValidationError):
         rdp_epsilon(rows, 0.0)

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpwarden.accounting import calibrate_gaussian_rho, gaussian_curve
 from dpwarden.cli import main
+from dpwarden.core import DEFAULT_ALPHA_ORDERS
 
 
 def policy_doc():
@@ -230,6 +232,68 @@ def test_malformed_document_exits_2_and_writes_nothing(tmp_path, capsys, setup):
     assert output is None or not output.exists()
     assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
 
+def _tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def _compile_without_policies(tmp_path):
+    return ["compile", "--policies", str(tmp_path / "nope.json"), "-o", str(tmp_path / "rules.json")]
+
+
+def _check_without_rules(tmp_path):
+    argv, rules, _ = _check_argv(tmp_path)
+    rules.unlink()
+    return argv
+
+
+def _check_without_request(tmp_path):
+    argv, _, _ = _check_argv(tmp_path)
+    (tmp_path / "req.json").unlink()
+    return argv
+
+
+def _check_with_state_in_missing_directory(tmp_path):
+    argv, _, state = _check_argv(tmp_path)
+    argv[argv.index(str(state))] = str(tmp_path / "nodir" / "state.json")
+    return argv
+
+
+def _simulate_without_config(tmp_path):
+    return ["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]
+
+
+def _report_without_directory(tmp_path):
+    return ["report", "--in", str(tmp_path / "nope")]
+
+
+@pytest.mark.parametrize("setup", [
+    _compile_without_policies,
+    _check_without_rules,
+    _check_without_request,
+    _check_with_state_in_missing_directory,
+    _simulate_without_config,
+    _report_without_directory,
+])
+def test_missing_file_exits_2_and_writes_nothing(tmp_path, capsys, setup):
+    argv = setup(tmp_path)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
+def test_report_rejects_malformed_summary(tmp_path, capsys):
+    (tmp_path / "summary.json").write_text(json.dumps({"scenario": "s1"}))
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed simulation summary")
+    assert captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def check_files(tmp_path_factory):
     """A compiled rule set and a state file holding one accepted request."""
@@ -285,4 +349,32 @@ def test_malformed_request_exits_2_and_leaves_state(check_files, capsys, fields)
     assert main(check) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert state.read_bytes() == before
+
+
+def _rules_for_other_orders(rules, request):
+    rules["alpha_orders"][-1] *= 2  # a valid grid of the same length
+
+
+def _short_curve_for_untracked_unit(rules, request):
+    curve = [0.1] * (len(DEFAULT_ALPHA_ORDERS) - 1)
+    request["mechanisms"][0]["cost_by_unit"]["device"] = {"kind": "rdp", "curve": curve}
+
+
+@pytest.mark.parametrize("edit", [_rules_for_other_orders, _short_curve_for_untracked_unit])
+def test_check_refuses_curves_off_the_alpha_orders(check_files, tmp_path, capsys, edit):
+    check, state, request = check_files
+    rules_path = check[check.index("--rules") + 1]
+    rules, doc = json.loads(Path(rules_path).read_text()), request_doc(0.1)
+    edit(rules, doc)
+    edited_rules = tmp_path / "rules.json"
+    edited_rules.write_text(json.dumps(rules))
+    request.write_text(json.dumps(doc))
+    argv = list(check)
+    argv[argv.index(rules_path)] = str(edited_rules)
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
     assert state.read_bytes() == before

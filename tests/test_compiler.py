@@ -16,6 +16,7 @@ from dpwarden.compiler import (
 )
 from dpwarden.core import (
     ADP,
+    DEFAULT_ALPHA_ORDERS,
     AttrIntersects,
     HasLabel,
     LabelSet,
@@ -336,7 +337,8 @@ def test_budget_fn_variants():
     assert Scale(1.5).apply(ADP(2, 1e-7)) == ADP(3, 1e-7)
     assert Scale(2.0).apply(ZCDP(0.1)) == ZCDP(0.2)
     assert Scale(3.0).apply(PureDP(1)) == PureDP(3)
-    assert Scale(2.0).apply(RDP((0.5, 1.0))) == RDP((1.0, 2.0))
+    pad = (0.0,) * (len(DEFAULT_ALPHA_ORDERS) - 2)
+    assert Scale(2.0).apply(RDP((0.5, 1.0) + pad)) == RDP((1.0, 2.0) + pad)
     for factor in (0.0, -1.0, float("nan")):
         with pytest.raises(ValidationError):
             Scale(factor)

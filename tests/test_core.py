@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from dpwarden.core import (
     ADP,
+    DEFAULT_ALPHA_ORDERS,
     And,
     AttrIntersects,
     HasLabel,
@@ -30,6 +31,11 @@ from dpwarden.core import (
 )
 from dpwarden.errors import ValidationError, VariantMismatch
 from dpwarden.accounting import gaussian_curve
+
+
+def _padded(*head):
+    """A curve over the alpha orders that starts with ``head``, zero after."""
+    return tuple(head) + (0.0,) * (len(DEFAULT_ALPHA_ORDERS) - len(head))
 
 
 def test_true_matches_everything():
@@ -81,9 +87,24 @@ def test_budget_validation():
     with pytest.raises(ValidationError):
         ADP(1.0, 1.0)
     with pytest.raises(ValidationError):
-        RDP((0.1, -0.2))
+        RDP(_padded(0.1, -0.2))
     with pytest.raises(ValidationError):
         ZCDP(-0.1)
+
+
+@pytest.mark.parametrize("length", [0, 1, len(DEFAULT_ALPHA_ORDERS) - 1, len(DEFAULT_ALPHA_ORDERS) + 1])
+def test_rdp_rejects_curve_not_over_the_orders(length):
+    with pytest.raises(ValidationError):
+        RDP((0.1,) * length)
+    with pytest.raises(ValidationError):
+        budget_from_dict({"kind": "rdp", "curve": [0.1] * length})
+
+
+def test_alpha_orders_are_a_valid_grid():
+    orders = DEFAULT_ALPHA_ORDERS
+    assert len(orders) > 0
+    assert all(a > 1.0 for a in orders)
+    assert all(a < b for a, b in zip(orders, orders[1:]))
 
 
 def test_budget_rejects_nan():
@@ -92,15 +113,17 @@ def test_budget_rejects_nan():
         lambda: PureDP(nan),
         lambda: ADP(nan, 1e-7),
         lambda: ADP(1.0, nan),
-        lambda: RDP((0.1, nan)),
+        lambda: RDP(_padded(0.1, nan)),
         lambda: ZCDP(nan),
     ):
         with pytest.raises(ValidationError):
             make()
     # JSON's NaN token reaches the constructors through the request format
+    curve = json.dumps(list(_padded(0.1, nan)))
+    assert "NaN" in curve
     doc = json.loads(
         '{"request_id": "q", "pa_selection": [0], "mechanisms": [{"labels": {}, '
-        '"cost_by_unit": {"user": {"kind": "rdp", "curve": [0.1, NaN]}}}]}'
+        '"cost_by_unit": {"user": {"kind": "rdp", "curve": %s}}}]}' % curve
     )
     with pytest.raises(ValidationError):
         ReleaseRequest.from_dict(doc)
@@ -114,7 +137,7 @@ _budget_pairs = st.sampled_from(["pure", "adp", "zcdp", "rdp"]).flatmap(
             "pure": (PureDP(vals[0]), PureDP(vals[1])),
             "adp": (ADP(vals[0], 0.5 * vals[2] / 100), ADP(vals[1], 0.5 * vals[2] / 100)),
             "zcdp": (ZCDP(vals[0]), ZCDP(vals[1])),
-            "rdp": (RDP((vals[0], vals[1])), RDP((vals[1], vals[2]))),
+            "rdp": (RDP(_padded(vals[0], vals[1])), RDP(_padded(vals[1], vals[2]))),
         }[kind]
     )
 )
@@ -176,7 +199,7 @@ def test_predicate_serialization_round_trip(pred):
 
 
 def test_budget_serialization_round_trip():
-    for b in (PureDP(1.5), ADP(3, 1e-7), RDP((0.1, 0.2)), ZCDP(0.015)):
+    for b in (PureDP(1.5), ADP(3, 1e-7), RDP(_padded(0.1, 0.2)), ZCDP(0.015)):
         assert budget_from_dict(budget_to_dict(b)) == b
 
 
@@ -251,7 +274,7 @@ def test_selection_array_is_a_private_copy():
     assert request.pa_selection.tolist() == [1, 2, 3]
 
 
-_CURVE = {"user": {"kind": "rdp", "curve": [0.1, 0.2]}}
+_CURVE = {"user": {"kind": "rdp", "curve": list(_padded(0.1, 0.2))}}
 
 
 @pytest.mark.parametrize(

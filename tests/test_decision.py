@@ -32,6 +32,7 @@ from dpwarden.decision import (
     BlockDomain,
     CELL_FUTURE,
     CELL_HIST,
+    N_ALPHA,
     DecisionPoint,
     FilterState,
     TimeAxis,
@@ -219,7 +220,7 @@ def test_collapse_monotone_never_forgets():
         arr = state.ensure("r", step_cell(step))
         arr[:] = rng.uniform(0, 1, size=arr.shape)
     before = state.array("r", CELL_HIST)
-    before = np.zeros((4, state.n_alpha)) if before is None else before.copy()
+    before = np.zeros((4, N_ALPHA)) if before is None else before.copy()
     state.collapse_time(9)
     after = state.array("r", CELL_HIST)
     assert (after >= before - 1e-15).all()

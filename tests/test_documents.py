@@ -177,6 +177,22 @@ def test_workload_config_fails_closed(doc):
     _loads_or_fails_closed(WorkloadConfig.from_dict, doc)
 
 
+_TINY_CONFIG = WorkloadConfig(scenario="s3", rounds=2, requests_per_round=4.0, pa_domain_size=16,
+                              pa_range_unit=8, n_attributes=10, n_categories=3).to_dict()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated(_TINY_CONFIG))
+def test_simulate_with_mutated_config_fails_closed(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), which=st.sampled_from(["rules", "request"]))
 def test_check_with_mutated_document_fails_closed(files, capsys, data, which):

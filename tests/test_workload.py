@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpwarden.errors import ConfigError
+from dpwarden.errors import ConfigError, DPWardenError
 from dpwarden.workload import (
     DEFAULT_MECHANISMS,
     S1_BUDGET_TABLE,
@@ -49,6 +49,25 @@ def test_config_round_trip_and_validation():
         WorkloadConfig.from_dict({"scenario": "s1", "no_such_knob": 1})
     with pytest.raises(ConfigError):
         WorkloadConfig(scenario="s1", blackbox_rate=1.5)
+
+
+@pytest.mark.parametrize("fields", [
+    {"utility_alpha": "x"},
+    {"utility_alpha": -1.0},
+    {"rng_seed": "x"},
+    {"rng_seed": -1},
+    {"rng_seed": True},
+    {"requests_per_round": float("nan")},
+    {"attr_zipf_exponent": float("nan")},
+    {"mechanisms": {}},
+    {"mechanisms": {"g": {"family": "pure", "levels": "ab", "pa_beta": [1.0, 1.0]}}},
+    {"mechanisms": {"g": {"family": "pure", "levels": [0.1], "pa_beta": [1.0, 0.0]}}},
+    {"rounds_per_month": 0},
+    {"month_window": 1},
+])
+def test_config_rejects_values_the_simulator_cannot_run(fields):
+    with pytest.raises(DPWardenError):
+        WorkloadConfig.from_dict({"scenario": "s3", **fields})
 
 
 def test_s1_standard_epsilon_inverts_table():
