@@ -223,11 +223,6 @@ class UnitGraph:
             return 1
         return self.units[src].group_factor_to.get(dst)
 
-    def greatest(self) -> str | None:
-        """The unique top unit, if one exists."""
-        tops = [t for t in self.units if all(self.leq(u, t) for u in self.units)]
-        return tops[0] if len(tops) == 1 else None
-
     def to_dicts(self) -> list[dict]:
         return [
             {

@@ -1,10 +1,10 @@
 """Stateful two-stage policy decision point.
 
-Stage one checks per-release rules statelessly.  Stage two walks the rule
-poset top-down, skipping a rule's entire down-set for any mechanism whose
-labels fail its predicate, and runs an RDP privacy filter for every (block,
-time-cell) a request touches.  Commits are all-or-nothing: a rejected request
-leaves the filter state untouched.
+Stage one checks per-release rules statelessly.  Stage two evaluates every
+active rule's predicate on every mechanism and runs an RDP privacy filter
+for every (block, time-cell) a request touches.  The rule poset is not
+consulted for matching: it serves pruning and DOT export only.  Commits are
+all-or-nothing: a rejected request leaves the filter state untouched.
 """
 
 from __future__ import annotations
@@ -188,10 +188,7 @@ class FilterState:
                 nz = np.flatnonzero(arr.any(axis=1))
                 if nz.size == 0:
                     continue
-                out_rule[cell] = {
-                    "blocks": [int(b) for b in nz],
-                    "curves": [list(map(float, arr[b])) for b in nz],
-                }
+                out_rule[cell] = {"blocks": nz.tolist(), "curves": arr[nz].tolist()}
             if out_rule:
                 cells[rid] = out_rule
         return {"now": self.now, "domain": self.domain.to_dict(), "cells": cells}
@@ -203,9 +200,10 @@ class FilterState:
             if unknown:
                 raise ValidationError(f"unknown state keys: {sorted(unknown)}")
             state = cls(BlockDomain.from_dict(d["domain"]))
-            state.now = int(d.get("now", state.now))
-            if state.now < 0:
-                raise ValidationError("state time step must be >= 0")
+            horizon = state.now  # a fresh state starts at the horizon, or at 0
+            state.now = int(d.get("now", horizon))
+            if state.now < horizon:
+                raise ValidationError(f"state time step {state.now} is behind the horizon {horizon}")
             addressable = {CELL_STATIC}
             if state.domain.time_axis is not None:
                 addressable |= {CELL_HIST, CELL_FUTURE, *map(step_cell, state.granular_steps())}
@@ -284,25 +282,16 @@ def check_per_release(request: ReleaseRequest, per_release_rules: Sequence[Rule]
 
 
 def match_rules(poset: RulePoset, mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
-    """Mechanism indices matching each rule, via poset-skipping traversal.
+    """Mechanism indices matching each rule, by evaluating every rule's
+    predicate on every mechanism.
 
-    A rule is only evaluated on mechanisms that matched all of its upper
-    covers; anything else is already known false because predicates only
-    narrow downwards.
+    Order keys are not trusted here: an admin annotation may place a rule
+    below another whose predicate it does not imply.
     """
-    all_mechs = frozenset(range(len(mechanisms)))
-    matches: dict[int, frozenset[int]] = {}
-    for i in poset.topo_order():
-        covers = poset.upper_cover_indices(i)
-        if covers:
-            cand = frozenset.intersection(*(matches[c] for c in covers))
-        else:
-            cand = all_mechs
-        rule = poset.rules[i]
-        matches[i] = frozenset(
-            m for m in cand if eval_predicate(rule.predicate, mechanisms[m].labels)
-        )
-    return [matches[i] for i in range(len(poset.rules))]
+    return [
+        frozenset(m for m, mech in enumerate(mechanisms) if eval_predicate(rule.predicate, mech.labels))
+        for rule in poset.rules
+    ]
 
 
 def check_and_commit(
@@ -313,6 +302,9 @@ def check_and_commit(
 ) -> Decision:
     """Stage two: cumulative check of every matching rule on every touched
     (block, time-cell), then an atomic commit on acceptance."""
+    # an unlock fraction may only shrink budgets; NaN would void them
+    if not 0.0 <= budget_scale <= 1.0:
+        raise ValidationError(f"budget scale must lie in [0, 1], got {budget_scale!r}")
     sel = request.pa_selection
     if sel.size and sel[-1] >= state.domain.domain_size:
         raise ValidationError(

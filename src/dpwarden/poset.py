@@ -70,7 +70,8 @@ class ComparisonStats:
 
 
 class RulePoset:
-    """Indexed rule set with its precomputed order relation."""
+    """Indexed rule set with its precomputed order relation; a compile-time
+    structure for pruning and DOT export."""
 
     def __init__(self, rules: Sequence[Rule], units: UnitGraph, ups: list[set[int]],
                  stats: ComparisonStats):
@@ -78,14 +79,6 @@ class RulePoset:
         self.units = units
         self.ups = ups  # ups[i] = indices j != i with rule_i <= rule_j
         self.stats = stats
-        self.downs: list[set[int]] = [set() for _ in rules]
-        for i, up in enumerate(ups):
-            for j in up:
-                self.downs[j].add(i)
-        self._upper_covers = [self._covers(i, above=True) for i in range(len(rules))]
-        self._lower_covers = [self._covers(i, above=False) for i in range(len(rules))]
-        # ancestors-first order for traversal (strict up-set only grows downward)
-        self._topo = sorted(range(len(rules)), key=lambda i: len(self.strict_ups(i)))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -96,43 +89,14 @@ class RulePoset:
                 return i
         raise KeyError(rule_id)
 
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or j in self.ups[i]
-
-    def strict_ups(self, i: int) -> set[int]:
-        return {j for j in self.ups[i] if i not in self.ups[j]}
-
-    def _covers(self, i: int, above: bool) -> tuple[int, ...]:
-        if above:
-            strict = self.strict_ups(i)
-        else:
-            strict = {j for j in self.downs[i] if i not in self.downs[j]}
-        keep = []
-        for j in strict:
-            others = strict - {j}
-            if above:
-                # minimal strict successors: drop j if some other k lies below it
-                if not any(j in self.ups[k] and k not in self.ups[j] for k in others):
-                    keep.append(j)
-            else:
-                # maximal strict predecessors: drop j if some other k lies above it
-                if not any(k in self.ups[j] and j not in self.ups[k] for k in others):
-                    keep.append(j)
-        return tuple(sorted(keep))
-
-    def upper_cover_indices(self, i: int) -> tuple[int, ...]:
-        return self._upper_covers[i]
-
     def lower_cover_indices(self, i: int) -> tuple[int, ...]:
-        return self._lower_covers[i]
-
-    def topo_order(self) -> list[int]:
-        """Indices ordered so every rule appears after all rules above it."""
-        return list(self._topo)
-
-    def greatest_index(self) -> int | None:
-        tops = [i for i in range(len(self.rules)) if all(self.leq(j, i) for j in range(len(self.rules)))]
-        return tops[0] if len(tops) == 1 else None
+        """Maximal strict predecessors of rule i."""
+        strict = {j for j, up in enumerate(self.ups) if i in up and j not in self.ups[i]}
+        # drop j if some other k lies strictly above it
+        return tuple(sorted(
+            j for j in strict
+            if not any(k in self.ups[j] and j not in self.ups[k] for k in strict - {j})
+        ))
 
 
 def build_poset(rules: Sequence[Rule], units: UnitGraph) -> RulePoset:

@@ -143,6 +143,13 @@ class WorkloadConfig:
                     f"mechanism {name!r} needs family 'gaussian' or 'pure', a non-empty list of "
                     f"non-negative levels, two positive pa_beta values and a boolean ml"
                 )
+            for level in spec["levels"]:
+                try:  # a request's utility scales with level ** utility_beta
+                    float(level) ** self.utility_beta
+                except OverflowError:
+                    raise ConfigError(
+                        f"mechanism {name!r}: level {level!r} ** utility_beta overflows a float"
+                    ) from None
 
     @classmethod
     def desk_scale(cls, scenario: str, total_epsilon: float, rng_seed: int = 0) -> "WorkloadConfig":

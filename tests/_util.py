@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from dpwarden.accounting import (
+    calibrate_gaussian_rho,
     compose_rdp,
     filter_check,
     gaussian_curve,
@@ -59,6 +60,46 @@ def hasse_fixture():
         for i in range(1, 8)
     ]
     return rules, units
+
+
+def annotated_policy_doc() -> dict:
+    """Two custom policies whose order-key annotations claim that team_b's
+    scope lies inside team_a's, although their predicates are disjoint."""
+
+    def custom(name, team, annotation, epsilon):
+        return {
+            "type": "custom",
+            "name": name,
+            "unit": "user",
+            "predicate": {"op": "has_label", "key": "team", "value": team},
+            "annotation": annotation,
+            "budget": {"kind": "adp", "epsilon": epsilon, "delta": 1e-7},
+        }
+
+    return {
+        "units": [{"name": "user"}],
+        "attributes": [],
+        "categories": [],
+        "base_policies": [custom("team_a", "a", [2, 2], 10.0), custom("team_b", "b", [1, 1], 1.0)],
+        "extension_policies": [],
+        "per_release_policies": [],
+    }
+
+
+def team_request_doc(epsilon: float, team: str) -> dict:
+    """A Gaussian release at ``epsilon`` on blocks 0 and 1, labelled ``team``."""
+    curve = gaussian_curve(calibrate_gaussian_rho(epsilon, 1e-7))
+    return {
+        "request_id": f"{team}-{epsilon}",
+        "mechanisms": [
+            {
+                "labels": {"team": [team]},
+                "cost_by_unit": {"user": {"kind": "rdp", "curve": list(curve.curve)}},
+            }
+        ],
+        "pa_selection": [0, 1],
+        "utility": 1.0,
+    }
 
 
 def unit_layout(rng: np.random.Generator) -> UnitGraph:

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dpwarden.accounting import calibrate_gaussian_rho, gaussian_curve
 from dpwarden.cli import main
 from dpwarden.core import DEFAULT_ALPHA_ORDERS
+
+sys.path.insert(0, str(Path(__file__).parent))
+from _util import annotated_policy_doc, team_request_doc  # noqa: E402
 
 
 def policy_doc():
@@ -152,6 +156,47 @@ def test_check_rejects_out_of_range_block_without_writing(tmp_path, capsys):
     capsys.readouterr()
     assert main(check) == 2
     assert "outside the domain" in capsys.readouterr().err
+    assert state.read_bytes() == before
+
+
+def test_check_enforces_a_rule_its_annotation_places_below_another(tmp_path, capsys):
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(annotated_policy_doc()))
+    rules = tmp_path / "rules.json"
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    state = tmp_path / "state.json"
+    request = tmp_path / "req.json"
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", "4"]
+    request.write_text(json.dumps(team_request_doc(0.5, "b")))
+    assert main(check) == 0
+    before = state.read_bytes()
+    request.write_text(json.dumps(team_request_doc(5.0, "b")))
+    capsys.readouterr()
+    assert main(check) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [v["rule"] for v in out["violations"]] == ["team_b"]
+    assert state.read_bytes() == before
+
+
+@pytest.mark.parametrize("scale", ["1.5", "1000", "inf", "nan", "-1"])
+def test_check_refuses_a_scale_outside_the_unit_interval(tmp_path, capsys, scale):
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(policy_doc()))
+    rules = tmp_path / "rules.json"
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    state = tmp_path / "state.json"
+    request = tmp_path / "req.json"
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", "4"]
+    request.write_text(json.dumps(request_doc(0.75)))
+    assert main(check) == 0
+    before = state.read_bytes()
+    capsys.readouterr()
+    # the same request again overspends the epsilon-1 filter on a1
+    assert main(check + ["--scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
     assert state.read_bytes() == before
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -11,11 +12,13 @@ from dpwarden.accounting import (
     pure_curve,
     zero_curve,
 )
+from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import (
     ADP,
     AttrIntersects,
     BASE_ATOMS,
     BASE_ATTRS,
+    BASE_RANKS,
     HasLabel,
     LabelSet,
     Mechanism,
@@ -42,10 +45,17 @@ from dpwarden.decision import (
     step_cell,
 )
 from dpwarden.errors import MissingCost, UnknownTimeStep, ValidationError
-from dpwarden.poset import build_poset
+from dpwarden.poset import build_poset, prune
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _util import NaiveEngine, random_rule_set, random_trace, unit_layout  # noqa: E402
+from _util import (  # noqa: E402
+    NaiveEngine,
+    annotated_policy_doc,
+    random_rule_set,
+    random_trace,
+    team_request_doc,
+    unit_layout,
+)
 
 
 def _user():
@@ -245,15 +255,40 @@ def test_poset_skipping_matches_direct_evaluation():
                 assert got[i] == direct
 
 
+def _random_ranks(rng, rules):
+    """The same rules under random annotation order keys: an admin's claim
+    of scope containment that need not agree with the predicates."""
+    return [
+        dataclasses.replace(
+            r, order_key=OrderKey(BASE_RANKS, tuple(int(x) for x in rng.integers(0, 3, size=2)), (), r.unit)
+        )
+        for r in rules
+    ]
+
+
 def test_matches_naive_single_block_engine():
     rng = np.random.default_rng(12)
+    key_rng = np.random.default_rng(14)
     for _ in range(60):
         rules, units = random_rule_set(rng)
-        poset = build_poset(rules, units)
-        point = DecisionPoint(poset, domain=BlockDomain((), 1))
-        naive = NaiveEngine(rules)
-        for req in random_trace(rng, units, domain_size=1, max_requests=30):
-            assert point.process(req).accepted == naive.process(req)
+        trace = random_trace(rng, units, domain_size=1, max_requests=30)
+        for keyed in (rules, _random_ranks(key_rng, rules)):
+            point = DecisionPoint(build_poset(keyed, units), domain=BlockDomain((), 1))
+            naive = NaiveEngine(rules)
+            for req in trace:
+                assert point.process(req).accepted == naive.process(req)
+
+
+def test_annotated_order_does_not_exempt_a_rule_from_its_check():
+    policy = parse_policy_set(annotated_policy_doc())
+    poset = prune(build_poset(compile_policy_set(policy), policy.unit_graph()))
+    assert [r.rule_id for r in poset.rules] == ["team_a", "team_b"]
+    point = DecisionPoint(poset, domain=BlockDomain((), 4))
+    decision = point.process(ReleaseRequest.from_dict(team_request_doc(5.0, "b")))
+    assert not decision.accepted
+    assert [v.rule_id for v in decision.violations] == ["team_b"]
+    assert point.state.to_dict()["cells"] == {}
+    assert point.process(ReleaseRequest.from_dict(team_request_doc(5.0, "a"))).accepted
 
 
 def test_reject_leaves_state_bit_identical_and_replayable():
@@ -303,6 +338,10 @@ def test_budget_scale_throttles():
     cost = gaussian_curve(calibrate_gaussian_rho(0.8, 1e-7))
     req = ReleaseRequest("q", (_mech({"attr": ["a1"]}, cost),), (0,))
     assert not point.process(req, budget_scale=0.5).accepted
+    for scale in (1.5, float("inf"), float("nan"), -0.5):
+        with pytest.raises(ValidationError):
+            point.process(req, budget_scale=scale)
+    assert point.state._cells == {}
     assert point.process(req, budget_scale=1.0).accepted
 
 
@@ -383,6 +422,10 @@ def test_state_load_fails_closed(blocks, curves):
             doc["cells"]["r"].update(t9=doc["cells"]["r"]["static"]),
         ),
         lambda doc: doc.update(now=-1),
+        lambda doc: (  # behind the horizon a fresh state starts at
+            doc["domain"].update(time_axis={"unit": "m", "granular_window": 3, "horizon": 6}),
+            doc.update(now=5),
+        ),
     ],
 )
 def test_state_load_rejects_missing_or_mistyped_fields(edit):

@@ -64,6 +64,9 @@ def test_config_round_trip_and_validation():
     {"mechanisms": {"g": {"family": "pure", "levels": [0.1], "pa_beta": [1.0, 0.0]}}},
     {"rounds_per_month": 0},
     {"month_window": 1},
+    # level ** utility_beta overflows a float
+    {"mechanisms": {"g": {"family": "pure", "levels": [1e200], "pa_beta": [1.0, 1.0]}}},
+    {"mechanisms": {"g": {"family": "pure", "levels": [10**400], "pa_beta": [1.0, 1.0]}}},
 ])
 def test_config_rejects_values_the_simulator_cannot_run(fields):
     with pytest.raises(DPWardenError):
