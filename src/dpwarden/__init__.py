@@ -38,7 +38,6 @@ from .accounting import (
 from .compiler import (
     apply_extensions,
     compile_policy_set,
-    generate_base_rules,
     parse_policy_set,
 )
 from .decision import (

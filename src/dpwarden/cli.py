@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``compile`` a policy document into a pruned rule set, ``check``
-one release request against a rule set and state file, ``simulate`` a
-scenario workload, and ``report`` a finished simulation directory.
+one release request against a rule set and state file, ``advance`` a state
+file's time frontier, ``simulate`` a scenario workload, and ``report`` a
+finished simulation directory.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if decision.accepted else 1
 
 
+def _cmd_advance(args: argparse.Namespace) -> int:
+    state = FilterState.from_dict(_read_json(args.state, "state"))
+    state.collapse_time(args.to)
+    Path(args.state).write_text(json.dumps(state.to_dict()))
+    print(f"advanced {args.state} to time step {state.now}")
+    return 0
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = WorkloadConfig.from_dict(_read_json(args.config, "workload config"))
     result = run_scenario(cfg, args.mode)
@@ -134,6 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0, help="budget unlock fraction")
     p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("advance", help="advance a state file's time frontier")
+    p.add_argument("--state", required=True, help="existing state file with a time axis")
+    p.add_argument("--to", type=int, required=True, help="new current time step")
+    p.set_defaults(func=_cmd_advance)
 
     p = sub.add_parser("simulate", help="run a scenario workload")
     p.add_argument("--config", required=True, help="workload config (JSON)")

@@ -1,8 +1,10 @@
 """Policy parsing and compilation into the final rule set.
 
-Base policies (custom, per-attribute, category) generate intermediate rules;
-extension policies expand each intermediate rule into one rule per extension,
-conjoining predicates and mapping budgets.  The final rule count is exactly
+Parsing turns each base policy (custom, per-attribute, category) straight
+into its intermediate rules, with order keys and provenance, so a rule
+generation error is a parse error.  Compilation expands each intermediate
+rule by the extension policies into one rule per extension, conjoining
+predicates and mapping budgets.  The final rule count is exactly
 |base rules| * product of extension-policy sizes.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
@@ -26,7 +28,6 @@ from .core import (
     OrderKey,
     Predicate,
     PrivacyBudget,
-    PrivacyUnit,
     Provenance,
     PureDP,
     Rule,
@@ -142,50 +143,6 @@ def budget_fn_from_dict(d: Mapping) -> BudgetFn:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CustomPolicy:
-    """Directly specified rule: predicate, unit, budget.
-
-    Predicates outside the conjunctive HasLabel fragment (and other than the
-    match-all predicate) need an integer-tuple ``annotation`` so the rule can
-    participate in the partial order.
-    """
-
-    name: str
-    predicate: Predicate
-    unit: str
-    budget: PrivacyBudget
-    annotation: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class PerAttributePolicy:
-    """One rule per attribute, with budgets assigned via risk levels or
-    explicit per-attribute overrides."""
-
-    name: str
-    unit: str
-    risk_budgets: Mapping[str, PrivacyBudget]
-    assignments: Mapping[str, Union[str, PrivacyBudget]]
-
-
-@dataclass(frozen=True)
-class CategoryPolicy:
-    """Three nested rules per category: members, members plus strongly
-    connected attributes, and all connected attributes."""
-
-    name: str
-    unit: str
-    risk_budgets: Mapping[str, PrivacyBudget]
-    categories: Mapping[str, str]
-    membership: Mapping[str, Mapping[str, MembershipLevel]]
-    strong_fn: BudgetFn = field(default_factory=Identity)
-    weak_fn: BudgetFn = field(default_factory=Identity)
-
-
-BasePolicy = Union[CustomPolicy, PerAttributePolicy, CategoryPolicy]
-
-
-@dataclass(frozen=True)
 class Extension:
     name: str
     predicate: Predicate
@@ -210,22 +167,39 @@ class ExtensionPolicy:
 
 @dataclass(frozen=True)
 class PolicySet:
-    units: tuple[PrivacyUnit, ...]
-    attributes: tuple[str, ...]
-    categories: tuple[str, ...]
-    base_policies: tuple[BasePolicy, ...]
+    """A parsed policy document: the unit graph, the intermediate rules its
+    base policies generate, and the policies applied on top of them."""
+
+    units: UnitGraph
+    base_rules: tuple[Rule, ...]
     extension_policies: tuple[ExtensionPolicy, ...]
     per_release: tuple[Rule, ...] = ()
 
     def unit_graph(self) -> UnitGraph:
-        return UnitGraph(self.units)
+        return self.units
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], categories: set[str]) -> BasePolicy:
+def _attr_rule(rule_id: str, attrs: frozenset[str], unit: str, budget: PrivacyBudget,
+               provenance: Provenance) -> Rule:
+    return Rule(rule_id, AttrIntersects(attrs), unit, budget, provenance,
+                OrderKey(BASE_ATTRS, attrs, (), unit))
+
+
+def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], categories: set[str]) -> list[Rule]:
+    """The intermediate rules, with order keys, that one base policy generates.
+
+    ``custom``: one rule with the policy's own predicate and budget.
+    Predicates outside the conjunctive HasLabel fragment (and other than the
+    match-all predicate) need an integer-tuple ``annotation`` so the rule can
+    take part in the partial order.  ``per_attribute``: one rule per
+    attribute, with budgets assigned via risk levels or explicit overrides.
+    ``category``: three nested rules per category, namely members, members
+    plus strongly connected attributes, and all connected attributes.
+    """
     kind = d["type"]
     name = d["name"]
     unit = d["unit"]
@@ -235,29 +209,33 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
         predicate = predicate_from_dict(d["predicate"])
         budget = budget_from_dict(d["budget"])
         annotation = tuple(int(x) for x in d["annotation"]) if "annotation" in d else None
-        if (
-            annotation is None
-            and not isinstance(predicate, TruePredicate)
-            and conjunction_atoms(predicate) is None
-        ):
+        if isinstance(predicate, TruePredicate):
+            key = OrderKey(BASE_TOP, (), (), unit)
+        elif annotation is not None:
+            key = OrderKey(BASE_RANKS, annotation, (), unit)
+        elif (atoms := conjunction_atoms(predicate)) is not None:
+            key = OrderKey(BASE_ATOMS, atoms, (), unit)
+        else:
             raise ValidationError(
                 f"custom policy {name!r} has a predicate outside the conjunctive fragment "
                 "and needs an integer-tuple annotation"
             )
-        return CustomPolicy(name, predicate, unit, budget, annotation)
+        return [Rule(name, predicate, unit, budget, Provenance(name, 0), key)]
+
+    rules: list[Rule] = []
     if kind == "per_attribute":
         risk_budgets = {r: budget_from_dict(b) for r, b in d["risk_budgets"].items()}
-        assignments: dict[str, Union[str, PrivacyBudget]] = {}
-        for attr, val in d["attributes"].items():
+        for i, (attr, val) in enumerate(d["attributes"].items()):
             if attr not in attributes:
                 raise ValidationError(f"policy {name!r} references unknown attribute {attr!r}")
             if isinstance(val, str):
                 if val not in risk_budgets:
                     raise ValidationError(f"policy {name!r}: unknown risk level {val!r} for {attr!r}")
-                assignments[attr] = val
+                budget = risk_budgets[val]
             else:
-                assignments[attr] = budget_from_dict(val)
-        return PerAttributePolicy(name, unit, risk_budgets, assignments)
+                budget = budget_from_dict(val)
+            rules.append(_attr_rule(f"{name}.{attr}", frozenset({attr}), unit, budget, Provenance(name, i)))
+        return rules
     if kind == "category":
         risk_budgets = {r: budget_from_dict(b) for r, b in d["risk_budgets"].items()}
         cats: dict[str, str] = {}
@@ -267,22 +245,35 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
             if risk not in risk_budgets:
                 raise ValidationError(f"policy {name!r}: unknown category risk {risk!r}")
             cats[cat] = risk
-        membership: dict[str, dict[str, MembershipLevel]] = {}
+        attrs_at: dict[str, dict[MembershipLevel, set[str]]] = {
+            cat: {level: set() for level in MembershipLevel} for cat in cats
+        }
         for attr, by_cat in d.get("membership", {}).items():
             if attr not in attributes:
                 raise ValidationError(f"policy {name!r} membership references unknown attribute {attr!r}")
-            row = {}
             for cat, level in by_cat.items():
                 if cat not in cats:
                     raise ValidationError(
                         f"policy {name!r}: attribute {attr!r} references undeclared category {cat!r}"
                     )
-                row[cat] = MembershipLevel(level)
-            membership[attr] = row
+                attrs_at[cat][MembershipLevel(level)].add(attr)
         level_fns = d.get("level_functions", {})
         strong_fn = budget_fn_from_dict(level_fns["strong"]) if "strong" in level_fns else Identity()
         weak_fn = budget_fn_from_dict(level_fns["weak"]) if "weak" in level_fns else Identity()
-        return CategoryPolicy(name, unit, risk_budgets, cats, membership, strong_fn, weak_fn)
+        for cat, risk in cats.items():
+            base_budget = risk_budgets[risk]
+            member = frozenset(attrs_at[cat][MembershipLevel.MEMBER])
+            strong = member | attrs_at[cat][MembershipLevel.STRONG]
+            weak = strong | attrs_at[cat][MembershipLevel.WEAK]
+            for level, attrs, budget in (
+                ("member", member, base_budget),
+                ("strong", strong, strong_fn.apply(base_budget)),
+                ("weak", weak, weak_fn.apply(base_budget)),
+            ):
+                rules.append(
+                    _attr_rule(f"{name}.{cat}.{level}", attrs, unit, budget, Provenance(name, len(rules)))
+                )
+        return rules
     raise ParseError(f"unknown base policy type {kind!r}")
 
 
@@ -309,7 +300,7 @@ def _parse_extension_policy(d: Mapping, units: set[str]) -> ExtensionPolicy:
 
 
 def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
-    """Parse and validate a JSON policy document.
+    """Parse and validate a JSON policy document, generating the base rules.
 
     Top-level keys: ``units``, ``attributes``, ``categories``,
     ``base_policies``, ``extension_policies``, ``per_release_policies``.
@@ -319,8 +310,8 @@ def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
         if not isinstance(doc, Mapping):
             raise ParseError("policy document must be a JSON object")
 
-        graph = UnitGraph.from_dicts(doc["units"])  # validates the declared order
-        unit_names = set(graph.units)
+        units = UnitGraph.from_dicts(doc["units"])  # validates the declared order
+        unit_names = set(units.units)
         attributes = tuple(doc.get("attributes", ()))
         categories = tuple(doc.get("categories", ()))
         attr_set, cat_set = set(attributes), set(categories)
@@ -329,15 +320,13 @@ def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
         if len(cat_set) != len(categories):
             raise ValidationError("duplicate category names")
 
-        base = tuple(
-            _parse_base_policy(p, unit_names, attr_set, cat_set)
-            for p in doc.get("base_policies", ())
-        )
-        seen = set()
-        for p in base:
-            if p.name in seen:
-                raise ValidationError(f"duplicate policy name {p.name!r}")
-            seen.add(p.name)
+        base: list[Rule] = []
+        names = set()
+        for p in doc.get("base_policies", ()):
+            base += _parse_base_policy(p, unit_names, attr_set, cat_set)
+            if p["name"] in names:
+                raise ValidationError(f"duplicate policy name {p['name']!r}")
+            names.add(p["name"])
         exts = tuple(_parse_extension_policy(p, unit_names) for p in doc.get("extension_policies", ()))
 
         per_release = []
@@ -355,80 +344,12 @@ def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
                     Provenance(name, i),
                 )
             )
-        return PolicySet(tuple(graph.units.values()), attributes, categories, base, exts, tuple(per_release))
+        return PolicySet(units, tuple(base), exts, tuple(per_release))
 
 
 # ---------------------------------------------------------------------------
-# Rule generation
+# Rule expansion
 # ---------------------------------------------------------------------------
-
-def _custom_order_key(p: CustomPolicy) -> OrderKey:
-    if isinstance(p.predicate, TruePredicate):
-        return OrderKey(BASE_TOP, (), (), p.unit)
-    if p.annotation is not None:
-        return OrderKey(BASE_RANKS, p.annotation, (), p.unit)
-    atoms = conjunction_atoms(p.predicate)
-    if atoms is None:
-        raise ValidationError(f"custom policy {p.name!r} needs an order annotation")
-    return OrderKey(BASE_ATOMS, atoms, (), p.unit)
-
-
-def generate_base_rules(ps: PolicySet) -> list[Rule]:
-    """Expand base policies into intermediate rules with order keys."""
-    rules: list[Rule] = []
-    for pol in ps.base_policies:
-        if isinstance(pol, CustomPolicy):
-            rules.append(
-                Rule(pol.name, pol.predicate, pol.unit, pol.budget,
-                     Provenance(pol.name, 0), _custom_order_key(pol))
-            )
-        elif isinstance(pol, PerAttributePolicy):
-            for i, (attr, val) in enumerate(pol.assignments.items()):
-                budget = pol.risk_budgets[val] if isinstance(val, str) else val
-                attrs = frozenset({attr})
-                rules.append(
-                    Rule(
-                        f"{pol.name}.{attr}",
-                        AttrIntersects(attrs),
-                        pol.unit,
-                        budget,
-                        Provenance(pol.name, i),
-                        OrderKey(BASE_ATTRS, attrs, (), pol.unit),
-                    )
-                )
-        elif isinstance(pol, CategoryPolicy):
-            index = 0
-            for cat in pol.categories:
-                base_budget = pol.risk_budgets[pol.categories[cat]]
-                member = frozenset(
-                    a for a, row in pol.membership.items() if row.get(cat) == MembershipLevel.MEMBER
-                )
-                strong = member | frozenset(
-                    a for a, row in pol.membership.items() if row.get(cat) == MembershipLevel.STRONG
-                )
-                weak = strong | frozenset(
-                    a for a, row in pol.membership.items() if row.get(cat) == MembershipLevel.WEAK
-                )
-                for level, attrs, budget in (
-                    ("member", member, base_budget),
-                    ("strong", strong, pol.strong_fn.apply(base_budget)),
-                    ("weak", weak, pol.weak_fn.apply(base_budget)),
-                ):
-                    rules.append(
-                        Rule(
-                            f"{pol.name}.{cat}.{level}",
-                            AttrIntersects(attrs),
-                            pol.unit,
-                            budget,
-                            Provenance(pol.name, index),
-                            OrderKey(BASE_ATTRS, attrs, (), pol.unit),
-                        )
-                    )
-                    index += 1
-        else:  # pragma: no cover - parse guarantees the union
-            raise ValidationError(f"unknown base policy {pol!r}")
-    return rules
-
 
 def apply_extensions(irules: Sequence[Rule], epolicies: Sequence[ExtensionPolicy]) -> list[Rule]:
     """Sequentially expand rules by each extension policy (Cartesian growth).
@@ -472,4 +393,4 @@ def apply_extensions(irules: Sequence[Rule], epolicies: Sequence[ExtensionPolicy
 
 def compile_policy_set(ps: PolicySet) -> list[Rule]:
     """Full compilation: base rules expanded by every extension policy."""
-    return apply_extensions(generate_base_rules(ps), ps.extension_policies)
+    return apply_extensions(ps.base_rules, ps.extension_policies)

@@ -149,9 +149,11 @@ class FilterState:
         """Advance the frontier, folding steps that leave the granular window
         into the historical interval by pointwise maximum (parallel
         composition across disjoint steps)."""
+        if self.domain.time_axis is None:
+            raise ValidationError("the state has no time axis to advance")
         if new_now < self.now:
-            raise ValidationError("time cannot move backwards")
-        w = self.domain.time_axis.granular_window if self.domain.time_axis else 0
+            raise ValidationError(f"time cannot move backwards from {self.now} to {new_now}")
+        w = self.domain.time_axis.granular_window
         cutoff = new_now - w
         for per_rule in self._cells.values():
             future = per_rule.get(CELL_FUTURE)

@@ -102,6 +102,45 @@ def team_request_doc(epsilon: float, team: str) -> dict:
     }
 
 
+def monthly_policy_doc() -> dict:
+    """A user-month rule (ε=3 per month) on releases labelled ``data=time``,
+    a global user rule (ε=8) and a per-release cap (ε=4)."""
+
+    def adp(epsilon):
+        return {"kind": "adp", "epsilon": epsilon, "delta": 1e-7}
+
+    return {
+        "units": [
+            {"name": "user", "group_factor_to": {"user-month": 1}},
+            {"name": "user-month", "above": ["user"]},
+        ],
+        "base_policies": [
+            {"type": "custom", "name": "global", "unit": "user", "predicate": {"op": "true"},
+             "budget": adp(8.0)},
+            {"type": "custom", "name": "monthly", "unit": "user-month",
+             "predicate": {"op": "has_label", "key": "data", "value": "time"}, "budget": adp(3.0)},
+        ],
+        "per_release_policies": [
+            {"name": "cap", "unit": "user", "predicate": {"op": "true"}, "budget": adp(4.0)},
+        ],
+    }
+
+
+def monthly_request_doc(epsilon: float, time_step: int | None, blocks=(0, 1)) -> dict:
+    """A Gaussian release at ``epsilon`` labelled ``data=time``, charged to
+    both units."""
+    curve = {"kind": "rdp", "curve": list(gaussian_curve(calibrate_gaussian_rho(epsilon, 1e-7)).curve)}
+    doc = {
+        "request_id": f"m{time_step}-{epsilon}",
+        "mechanisms": [{"labels": {"data": ["time"]}, "cost_by_unit": {"user": curve, "user-month": curve}}],
+        "pa_selection": list(blocks),
+        "utility": 1.0,
+    }
+    if time_step is not None:
+        doc["time_step"] = time_step
+    return doc
+
+
 def unit_layout(rng: np.random.Generator) -> UnitGraph:
     pick = rng.integers(3)
     if pick == 0:

@@ -25,7 +25,7 @@ from dpwarden.accounting import (
     scale_budget,
     zcdp_to_adp,
 )
-from dpwarden.compiler import compile_policy_set, generate_base_rules, parse_policy_set
+from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import ADP, DEFAULT_ALPHA_ORDERS, RDP, ZCDP
 from dpwarden.decision import BlockDomain, DecisionPoint, TimeAxis
 from dpwarden.poset import build_poset, prune, prune_with_report
@@ -79,7 +79,7 @@ def test_rule_count_identity():
     cfg = WorkloadConfig(scenario="s2", total_epsilon=20.0, rng_seed=0)
     doc = build_policy_document(cfg, build_schema(cfg))
     ps = parse_policy_set(doc)
-    assert len(generate_base_rules(ps)) == 181
+    assert len(ps.base_rules) == 181
 
     doc["extension_policies"] = [
         {

@@ -10,7 +10,12 @@ from dpwarden.cli import main
 from dpwarden.core import DEFAULT_ALPHA_ORDERS
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _util import annotated_policy_doc, team_request_doc  # noqa: E402
+from _util import (  # noqa: E402
+    annotated_policy_doc,
+    monthly_policy_doc,
+    monthly_request_doc,
+    team_request_doc,
+)
 
 
 def policy_doc():
@@ -423,3 +428,81 @@ def test_check_refuses_curves_off_the_alpha_orders(check_files, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
     assert state.read_bytes() == before
+
+
+def test_check_refuses_a_rule_set_with_a_duplicate_rule_id(check_files, tmp_path, capsys):
+    check, state, _ = check_files
+    rules_path = check[check.index("--rules") + 1]
+    rules = json.loads(Path(rules_path).read_text())
+    rules["rules"].append(dict(rules["rules"][0], budget={"kind": "adp", "epsilon": 99.0, "delta": 1e-7}))
+    edited = tmp_path / "rules.json"
+    edited.write_text(json.dumps(rules))
+    argv = list(check)
+    argv[argv.index(rules_path)] = str(edited)
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "duplicate rule id" in captured.err
+    assert captured.out == "" and state.read_bytes() == before
+
+
+def _monthly_files(tmp_path):
+    """A compiled monthly rule set and the argv of a check at horizon 2;
+    returns (check argv, request path, state path)."""
+    policies, rules, request, state = (tmp_path / n for n in ("policies.json", "rules.json",
+                                                              "req.json", "state.json"))
+    policies.write_text(json.dumps(monthly_policy_doc()))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", "4", "--time-unit", "user-month", "--window", "2", "--horizon", "2"]
+    return check, request, state
+
+
+def test_advance_lets_a_later_time_step_be_checked(tmp_path, capsys):
+    check, request, state = _monthly_files(tmp_path)
+    request.write_text(json.dumps(monthly_request_doc(2.5, 2)))
+    assert main(check) == 0
+    request.write_text(json.dumps(monthly_request_doc(2.5, 3)))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(check) == 2
+    assert "beyond current horizon 2" in capsys.readouterr().err
+    assert state.read_bytes() == before
+
+    assert main(["advance", "--state", str(state), "--to", "3"]) == 0
+    assert json.loads(state.read_text())["now"] == 3
+    capsys.readouterr()
+    assert main(check) == 0
+    assert json.loads(capsys.readouterr().out)["accepted"]
+    # month 3 now holds one ε=2.5 release against its ε=3 budget
+    assert main(check) == 1
+
+
+def _advance_backwards(tmp_path):
+    check, request, state = _monthly_files(tmp_path)
+    request.write_text(json.dumps(monthly_request_doc(0.5, 2)))
+    assert main(check) == 0
+    return ["advance", "--state", str(state), "--to", "1"]
+
+
+def _advance_without_state(tmp_path):
+    return ["advance", "--state", str(tmp_path / "state.json"), "--to", "3"]
+
+
+def _advance_without_time_axis(tmp_path):
+    argv, _, state = _check_argv(tmp_path)
+    assert main(argv) == 0
+    return ["advance", "--state", str(state), "--to", "3"]
+
+
+@pytest.mark.parametrize("setup", [_advance_backwards, _advance_without_state, _advance_without_time_axis])
+def test_advance_refuses_and_leaves_the_state(tmp_path, capsys, setup):
+    argv = setup(tmp_path)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert _tree(tmp_path) == before

@@ -11,7 +11,6 @@ from dpwarden.compiler import (
     Scale,
     apply_extensions,
     compile_policy_set,
-    generate_base_rules,
     parse_policy_set,
 )
 from dpwarden.core import (
@@ -79,7 +78,7 @@ def context_extension_policy(name="context"):
 
 def test_parse_minimal_document():
     ps = parse_policy_set(json.dumps(minimal_doc()))
-    rules = generate_base_rules(ps)
+    rules = ps.base_rules
     assert len(rules) == 1
     assert rules[0].unit == "user"
     assert rules[0].budget == ADP(10.0, 1e-7)
@@ -156,7 +155,7 @@ def test_custom_predicate_needs_annotation():
 def test_s2_document_yields_181_intermediate_rules():
     cfg = WorkloadConfig(scenario="s2", total_epsilon=20.0, rng_seed=0)
     ps = parse_policy_set(build_policy_document(cfg, build_schema(cfg)))
-    rules = generate_base_rules(ps)
+    rules = ps.base_rules
     assert len(rules) == 1 + 150 + 10 * 3
 
 
@@ -180,7 +179,7 @@ def test_per_attribute_budgets_by_risk():
             "attributes": {"a1": "high", "a2": "low", "a3": adp(4)},
         }
     )
-    rules = {r.rule_id: r for r in generate_base_rules(parse_policy_set(doc))}
+    rules = {r.rule_id: r for r in parse_policy_set(doc).base_rules}
     assert rules["attrs.a1"].budget == ADP(3, 1e-7)
     assert rules["attrs.a2"].budget == ADP(20, 1e-7)
     assert rules["attrs.a3"].budget == ADP(4, 1e-7)
@@ -209,7 +208,7 @@ def test_category_levels_nest_and_scale():
             },
         }
     )
-    rules = {r.rule_id: r for r in generate_base_rules(parse_policy_set(doc))}
+    rules = {r.rule_id: r for r in parse_policy_set(doc).base_rules}
     assert rules["cats.c1.member"].budget.epsilon == pytest.approx(5.0)
     assert rules["cats.c1.strong"].budget.epsilon == pytest.approx(7.5)
     assert rules["cats.c1.weak"].budget.epsilon == pytest.approx(10.0)
@@ -218,10 +217,35 @@ def test_category_levels_nest_and_scale():
     assert rules["cats.c1.weak"].predicate == AttrIntersects(frozenset({"a1", "a2", "a3"}))
 
 
+def test_rule_generation_errors_surface_at_parse():
+    doc = minimal_doc()
+    doc["attributes"], doc["categories"] = ["a1"], ["c1"]
+    doc["base_policies"].append(
+        {
+            "type": "category",
+            "name": "cats",
+            "unit": "user",
+            "risk_budgets": {
+                "high": {"kind": "zcdp", "rho": 0.5},
+                "rdp": {"kind": "rdp", "curve": [0.1] * len(DEFAULT_ALPHA_ORDERS)},
+            },
+            "categories": {"c1": "rdp"},
+            "membership": {"a1": {"c1": "member"}},
+            "level_functions": {"strong": {"kind": "map_table", "knots": [[1.0, 2.0], [3.0, 4.0]]}},
+        }
+    )
+    with pytest.raises(UnsupportedVariant):
+        parse_policy_set(doc)
+    doc["base_policies"][-1]["categories"]["c1"] = "high"
+    doc["base_policies"][-1]["level_functions"]["strong"]["clamp"] = False
+    with pytest.raises(BudgetFnDomain):
+        parse_policy_set(doc)
+
+
 def test_empty_policy_set_generates_no_rules():
     doc = minimal_doc()
     doc["base_policies"] = []
-    assert generate_base_rules(parse_policy_set(doc)) == []
+    assert parse_policy_set(doc).base_rules == ()
 
 
 def test_extension_expansion_s1_budgets():
@@ -280,7 +304,7 @@ def test_rule_count_identity_random():
                 )
             doc["extension_policies"].append({"name": f"p{p}", "extensions": exts})
         ps = parse_policy_set(doc)
-        base = generate_base_rules(ps)
+        base = ps.base_rules
         final = compile_policy_set(ps)
         expect = len(base)
         for s in sizes:
@@ -303,7 +327,7 @@ def test_match_all_extension_preserves_coverage():
     )
     doc["extension_policies"] = [context_extension_policy("ctx1")]
     ps = parse_policy_set(doc)
-    base = generate_base_rules(ps)
+    base = ps.base_rules
     final = compile_policy_set(ps)
     by_base = {}
     for r in final:
@@ -350,32 +374,30 @@ def test_budget_fn_variants():
 
 
 def test_extension_unit_scope_filters_budget_fn():
-    base = generate_base_rules(
-        parse_policy_set(
-            {
-                "units": [
-                    {"name": "user", "group_factor_to": {"user-month": 1}},
-                    {"name": "user-month", "above": ["user"]},
-                ],
-                "base_policies": [
-                    {
-                        "type": "custom",
-                        "name": "g_user",
-                        "unit": "user",
-                        "predicate": {"op": "true"},
-                        "budget": adp(2.0),
-                    },
-                    {
-                        "type": "custom",
-                        "name": "g_month",
-                        "unit": "user-month",
-                        "predicate": {"op": "true"},
-                        "budget": adp(2.0),
-                    },
-                ],
-            }
-        )
-    )
+    base = parse_policy_set(
+        {
+            "units": [
+                {"name": "user", "group_factor_to": {"user-month": 1}},
+                {"name": "user-month", "above": ["user"]},
+            ],
+            "base_policies": [
+                {
+                    "type": "custom",
+                    "name": "g_user",
+                    "unit": "user",
+                    "predicate": {"op": "true"},
+                    "budget": adp(2.0),
+                },
+                {
+                    "type": "custom",
+                    "name": "g_month",
+                    "unit": "user-month",
+                    "predicate": {"op": "true"},
+                    "budget": adp(2.0),
+                },
+            ],
+        }
+    ).base_rules
     policy = ExtensionPolicy(
         "ctx",
         (
@@ -453,3 +475,37 @@ def test_extension_policy_order_independence():
     assert decisions[0] == decisions[1]
     assert True in decisions[0] and False in decisions[0]
 
+
+
+# sha256 of the compiled, pruned and pruning-record dicts (plus units and
+# per-release rules) of each desk-scale scenario document at seed 0
+COMPILED_DIGESTS = {
+    ("s1", 3.0): "6c96e2f135d9c07e3c0ea63157d0f764fad7e0a60a537a8ed99aa85921aa3d44",
+    ("s1", 20.0): "eb7e2e655ea52dbc571603fc75f7e4ae13767092bf743b0fa06a06fa5efd0c9f",
+    ("s2", 3.0): "5061af70c59ba690f7bf4b0e5398ce91fe50aa954c9b63ad5e3d82d2a6cac6d6",
+    ("s2", 20.0): "47db0fa54fba54206520e457e517ecb6d773b15a01b955208cb78b307f42ab9f",
+    ("s3", 3.0): "ab7fd0eb4105e7b22e34f81e2d7534bb48d65b88959ccd09db42f8c40a23c689",
+    ("s3", 20.0): "56b8d38b60addf5cf7c881f8e178ecb9de73207704e32330490676088c94ae57",
+}
+
+
+@pytest.mark.parametrize("scenario, epsilon", sorted(COMPILED_DIGESTS))
+def test_compiled_output_of_the_scenario_documents_is_pinned(scenario, epsilon):
+    import hashlib
+
+    from dpwarden.poset import build_poset, prune_with_report
+
+    cfg = WorkloadConfig.desk_scale(scenario, epsilon)
+    ps = parse_policy_set(build_policy_document(cfg, build_schema(cfg)))
+    units = ps.unit_graph()
+    rules = compile_policy_set(ps)
+    pruned, records = prune_with_report(build_poset(rules, units))
+    payload = {
+        "units": units.to_dicts(),
+        "rules": [r.to_dict() for r in rules],
+        "pruned": [r.to_dict() for r in pruned.rules],
+        "records": [rec.to_dict() for rec in records],
+        "per_release": [r.to_dict() for r in ps.per_release],
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == COMPILED_DIGESTS[(scenario, epsilon)]

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from dpwarden.compiler import compile_policy_set, generate_base_rules, parse_policy_set
+from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import (
     ADP,
     AttrIntersects,
@@ -17,7 +19,7 @@ from dpwarden.core import (
     UnitGraph,
     ZCDP,
 )
-from dpwarden.errors import IncomparableKeys
+from dpwarden.errors import IncomparableKeys, ValidationError
 from dpwarden.poset import (
     build_poset,
     is_non_constraining,
@@ -253,7 +255,7 @@ def test_comparison_count_within_decomposition_bound():
         ],
     }
     ps = parse_policy_set(cfg_doc)
-    base = generate_base_rules(ps)
+    base = ps.base_rules
     final = compile_policy_set(ps)
     poset = build_poset(final, ps.unit_graph())
     n_base = len(base)
@@ -273,3 +275,42 @@ def test_dot_export_marks_pruned():
     assert dot.startswith("digraph")
     assert dot.count("grey80") == 4
     assert "->" in dot
+
+
+def _custom(name, epsilon):
+    return {"type": "custom", "name": name, "unit": "user", "predicate": {"op": "true"},
+            "budget": {"kind": "adp", "epsilon": epsilon, "delta": 1e-7}}
+
+
+def _duplicate_from_policy_names():
+    # a custom policy named like the rule a per-attribute policy generates
+    return {
+        "units": [{"name": "user"}],
+        "attributes": ["a1"],
+        "base_policies": [
+            _custom("attrs.a1", 10.0),
+            {"type": "per_attribute", "name": "attrs", "unit": "user",
+             "risk_budgets": {"low": {"kind": "adp", "epsilon": 1.0, "delta": 1e-7}},
+             "attributes": {"a1": "low"}},
+        ],
+    }, "attrs.a1"
+
+
+def _duplicate_from_extension_names():
+    ext = {"name": "x", "predicate": {"op": "true"}, "budget_fn": {"kind": "identity"}, "rank": 1}
+    narrow = dict(ext, predicate={"op": "has_label", "key": "c", "value": "s"}, rank=0)
+    return {
+        "units": [{"name": "user"}],
+        "base_policies": [_custom("global", 10.0)],
+        "extension_policies": [{"name": "ctx", "extensions": [narrow, ext]}],
+    }, "global|ctx=x"
+
+
+@pytest.mark.parametrize("document", [_duplicate_from_policy_names, _duplicate_from_extension_names])
+def test_build_poset_refuses_duplicate_rule_ids(document):
+    # two rules under one id would share one accumulator in the filter state
+    doc, rule_id = document()
+    ps = parse_policy_set(doc)
+    rules = compile_policy_set(ps)
+    with pytest.raises(ValidationError, match=re.escape(f"duplicate rule id {rule_id!r}")):
+        build_poset(rules, ps.unit_graph())
