@@ -22,9 +22,11 @@ from .core import (
     OrderKey,
     PrivacyBudget,
     Rule,
+    TruePredicate,
     UnitGraph,
     budget_leq,
     budget_to_dict,
+    conjunction_atoms,
 )
 from .errors import IncomparableKeys, UnsupportedVariant, ValidationError, VariantMismatch
 
@@ -169,10 +171,26 @@ def lower_cover(poset: RulePoset, rule: Rule | int) -> list[Rule]:
     return [poset.rules[j] for j in poset.lower_cover_indices(i)]
 
 
+def _scope_covered(ri: Rule, rj: Rule) -> bool:
+    """Whether rule j's scope is known to contain rule i's.  An annotation
+    key is an admin's claim, so a pair that uses one counts only when the
+    predicates show the implication: j is ``true``, or j's conjoined atoms
+    are a subset of i's."""
+    if BASE_RANKS not in (ri.order_key.base_kind, rj.order_key.base_kind):
+        return True
+    if isinstance(rj.predicate, TruePredicate):
+        return True
+    atoms_i, atoms_j = conjunction_atoms(ri.predicate), conjunction_atoms(rj.predicate)
+    return atoms_i is not None and atoms_j is not None and atoms_j <= atoms_i
+
+
 def _dominating_budget(poset: RulePoset, i: int, j: int) -> PrivacyBudget | None:
-    """Budget of rule j expressed in rule i's unit, if it is at most rule i's
-    budget (making rule i non-constraining); else None."""
+    """Budget of rule j expressed in rule i's unit, if rule j covers rule i's
+    scope and its budget is at most rule i's (making rule i non-constraining);
+    else None."""
     ri, rj = poset.rules[i], poset.rules[j]
+    if not _scope_covered(ri, rj):
+        return None
     budget = rj.budget
     if rj.unit != ri.unit:
         k = poset.units.group_factor(rj.unit, ri.unit)
@@ -222,9 +240,10 @@ def prune_with_report(poset: RulePoset) -> tuple[RulePoset, list[PruneRecord]]:
 
     Walking the relation transitively once is equivalent to the recursive
     descent from the greatest element with implied-budget propagation: a rule
-    is deactivated exactly when some rule above it carries an equal-or-
-    stricter budget (expressed in the rule's own unit), and witnesses are
-    never deactivated without a surviving dominator of their own.
+    is deactivated exactly when some rule above it, whose scope is shown to
+    cover it, carries an equal-or-stricter budget (expressed in the rule's
+    own unit), and witnesses are never deactivated without a surviving
+    dominator of their own.
     """
     records: list[PruneRecord] = []
     active: list[int] = []

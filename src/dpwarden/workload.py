@@ -564,7 +564,12 @@ class ScenarioResult:
 class _Scope:
     """Post-hoc per-scope accounting, independent of the decision point: a
     monitor-only filter with one RDP accumulator row per block, allocated on
-    the first charge."""
+    the first charge.
+
+    Reports are incremental: ``report`` evaluates only the rows charged since
+    the last report and keeps a running max, which is exact because a row's
+    epsilon never falls as it grows, and an uncharged row cannot raise the max.
+    """
 
     def __init__(self, name: str, predicate: Predicate, unit: str, bound: float | None,
                  cfg: WorkloadConfig, month: int | None = None):
@@ -576,12 +581,15 @@ class _Scope:
         self.delta = cfg.delta_budget
         self.domain_size = cfg.pa_domain_size
         self._acc: np.ndarray | None = None
+        self._dirty: np.ndarray | None = None
+        self._eps = 0.0
 
     def add(self, request: ReleaseRequest) -> None:
         if self.month is not None and request.time_step != self.month:
             return
         if request.pa_selection.size == 0:
             return
+        charged = False
         for mech in request.mechanisms:
             if not eval_predicate(self.predicate, mech.labels):
                 continue
@@ -590,12 +598,20 @@ class _Scope:
                 continue
             if self._acc is None:
                 self._acc = np.zeros((self.domain_size, N_ALPHA))
+                self._dirty = np.zeros(self.domain_size, dtype=bool)
             self._acc[request.pa_selection] += np.asarray(cost.curve)
+            charged = True
+        if charged:
+            self._dirty[request.pa_selection] = True
 
     def report(self) -> ScopeCost:
-        eps = 0.0 if self._acc is None else float(rdp_epsilon(self._acc, self.delta).max())
-        violation = self.bound is not None and eps > self.bound + 1e-9
-        return ScopeCost(eps, self.bound, violation)
+        if self._dirty is not None:
+            rows = np.flatnonzero(self._dirty)
+            if rows.size:
+                self._eps = max(self._eps, float(rdp_epsilon(self._acc[rows], self.delta).max()))
+                self._dirty[rows] = False
+        violation = self.bound is not None and self._eps > self.bound + 1e-9
+        return ScopeCost(self._eps, self.bound, violation)
 
 
 def _build_scopes(cfg: WorkloadConfig, schema: WorkloadSchema) -> list[_Scope]:

@@ -45,7 +45,7 @@ from dpwarden.decision import (
     step_cell,
 )
 from dpwarden.errors import MissingCost, UnknownTimeStep, ValidationError
-from dpwarden.poset import build_poset, prune
+from dpwarden.poset import build_poset, prune, prune_with_report
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import (  # noqa: E402
@@ -289,6 +289,22 @@ def test_annotated_order_does_not_exempt_a_rule_from_its_check():
     assert [v.rule_id for v in decision.violations] == ["team_b"]
     assert point.state.to_dict()["cells"] == {}
     assert point.process(ReleaseRequest.from_dict(team_request_doc(5.0, "a"))).accepted
+
+
+def test_an_annotation_alone_cannot_prune_a_rule_whose_scope_it_does_not_cover():
+    doc = annotated_policy_doc()
+    team_a, team_b = doc["base_policies"]
+    team_a["budget"]["epsilon"], team_b["budget"]["epsilon"] = 1.0, 10.0
+    policy = parse_policy_set(doc)
+    sub, records = prune_with_report(build_poset(compile_policy_set(policy), policy.unit_graph()))
+    assert [r.rule_id for r in sub.rules] == ["team_a", "team_b"]
+    assert records == []
+    point = DecisionPoint(sub, domain=BlockDomain((), 4))
+    for _ in range(3):
+        decision = point.process(ReleaseRequest.from_dict(team_request_doc(50.0, "b")))
+        assert not decision.accepted
+        assert [v.rule_id for v in decision.violations] == ["team_b"]
+    assert point.state.to_dict()["cells"] == {}
 
 
 def test_reject_leaves_state_bit_identical_and_replayable():

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dpwarden.accounting import gaussian_curve, pure_curve, rdp_epsilon, zero_curve
+from dpwarden.core import HasLabel, LabelSet, Mechanism, ReleaseRequest
 from dpwarden.errors import ConfigError, DPWardenError
 from dpwarden.workload import (
     DEFAULT_MECHANISMS,
@@ -20,6 +23,7 @@ from dpwarden.workload import (
     s1_standard_epsilon,
     sample_month,
     tracked_months,
+    _Scope,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -257,3 +261,67 @@ def test_scope_reports_match_pure_python_replay(scenario, monkeypatch):
             assert rep.scopes[scope.name].cumulative_epsilon == expected
             charged += expected > 0
     assert charged > 0
+
+
+def full_scope_epsilon(scope) -> float:
+    """The scope report recomputed over every accumulator row."""
+    return 0.0 if scope._acc is None else float(rdp_epsilon(scope._acc, scope.delta).max())
+
+
+_SCOPE_DOMAIN = 6
+_curves = st.one_of(
+    st.just(zero_curve()),
+    st.floats(0.0, 2.0).map(gaussian_curve),
+    st.floats(0.0, 5.0).map(pure_curve),
+)
+_mechanisms = st.builds(
+    lambda kind, unit, curve: Mechanism(LabelSet({"kind": [kind]}), {unit: curve}),
+    st.sampled_from(["charged", "other"]),
+    st.sampled_from(["user", "user-month"]),
+    _curves,
+)
+_requests = st.builds(
+    lambda mechs, blocks, month: ReleaseRequest("q", tuple(mechs), sorted(blocks), month),
+    st.lists(_mechanisms, max_size=3),
+    st.sets(st.integers(0, _SCOPE_DOMAIN - 1)),
+    st.sampled_from([None, 6, 7]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    month=st.sampled_from([None, 6]),
+    steps=st.lists(st.one_of(st.none(), _requests), max_size=25),
+)
+def test_incremental_scope_report_equals_full_recompute(month, steps):
+    """``None`` steps are reports; several may follow one another."""
+    cfg = small_cfg(pa_domain_size=_SCOPE_DOMAIN, pa_range_unit=2)
+    scope = _Scope("s", HasLabel("kind", "charged"), "user", 1.0, cfg, month=month)
+    last = 0.0
+    for step in [*steps, None]:
+        if step is not None:
+            scope.add(step)
+            continue
+        eps = scope.report().cumulative_epsilon
+        assert eps == full_scope_epsilon(scope)
+        assert eps >= last
+        last = eps
+
+
+def test_paper_scale_scope_reports_equal_full_recompute(monkeypatch):
+    """At paper scale each request charges few of the 204,800 rows, so most
+    rows stay clean between reports."""
+    report = _Scope.report
+    checked = []
+
+    def checking_report(self):
+        got = report(self)
+        assert got.cumulative_epsilon == full_scope_epsilon(self)
+        checked.append(got.cumulative_epsilon > 0)
+        return got
+
+    monkeypatch.setattr(_Scope, "report", checking_report)
+    cfg = WorkloadConfig.paper_scale("s1", 10.0, 0)
+    result = run_scenario(cfg)
+    assert len(checked) == cfg.rounds * len(result.reports[0].scopes)
+    assert any(checked)
