@@ -9,7 +9,8 @@ all-or-nothing: a rejected request leaves the filter state untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,18 +98,132 @@ class BlockDomain:
         ta = d.get("time_axis")
         return cls(
             tuple(d.get("partitioning_attributes", ())),
-            int(d.get("domain_size", 1)),
-            TimeAxis(ta["unit"], int(ta["granular_window"]), int(ta.get("horizon", 0))) if ta else None,
+            _read_count(d.get("domain_size", 1), "domain_size"),
+            TimeAxis(
+                ta["unit"],
+                _read_count(ta["granular_window"], "granular_window"),
+                _read_count(ta.get("horizon", 0), "horizon"),
+            ) if ta else None,
         )
 
 
+def _read_count(value, name: str) -> int:
+    """An integer field of a state document.  ``int()`` would also read
+    2048.9 as 2048, true as 1 and "64" as 64."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+class BlockRows:
+    """RDP accumulator rows over a block domain, held only for the blocks
+    charged so far: the store of one (rule, time cell) filter, or of one
+    simulator scope.
+
+    ``index`` maps every block of the domain to a slot of ``rows``.  Slot 0
+    is a permanent zero row that stands for every uncharged block, so
+    ``rows[index[blocks]]`` reads what a dense ``(domain_size, N_ALPHA)``
+    array would.  Capacity doubles as blocks are charged, but never past one
+    row per block plus the zero row, and the rows past ``held`` stay zero.
+    """
+
+    __slots__ = ("index", "rows", "held")
+
+    def __init__(self, domain_size: int):
+        try:
+            self.index = np.zeros(domain_size, dtype=np.intp)
+        except MemoryError:
+            raise ValidationError(f"a domain of {domain_size} blocks is too large to index") from None
+        self.rows = np.zeros((min(16, domain_size + 1), N_ALPHA))
+        self.held = 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Rows held, the zero row included, by one entry per alpha order."""
+        return (self.held, N_ALPHA)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes allocated: the block index plus the row capacity."""
+        return self.index.nbytes + self.rows.nbytes
+
+    def gather(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slot of each block, and a copy of the rows it reads."""
+        idx = self.index[blocks]
+        return idx, self.rows[idx]
+
+    def put(self, blocks: np.ndarray, rows: np.ndarray, idx: np.ndarray | None = None) -> None:
+        """Set the rows of the distinct ``blocks``.  ``idx``, the slots that
+        ``gather`` returned for them, saves reading the index again."""
+        idx = self._slots(blocks, idx)
+        self.rows[idx] = rows
+
+    def add(self, blocks: np.ndarray, curve) -> None:
+        """Add ``curve`` to the row of each of the distinct ``blocks``."""
+        idx = self._slots(blocks)
+        self.rows[idx] += curve
+
+    def held_rows(self) -> np.ndarray:
+        """A view of every row held, the zero row included."""
+        return self.rows[: self.held]
+
+    def _slots(self, blocks: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        """Slot of each of the distinct ``blocks``, giving each uncharged one
+        a fresh zero row; fills ``idx`` in place.  May replace ``self.rows``,
+        so callers read it only after this returns."""
+        if idx is None:
+            idx = self.index[blocks]
+        charged = np.count_nonzero(idx)  # a cheaper reduction than idx.all()
+        if charged == len(idx):
+            return idx
+        # with no block charged yet, as for most narrow selections, skip the mask
+        new = idx == 0 if charged else slice(None)
+        end = self.held + len(idx) - charged
+        if end > len(self.rows):
+            grown = np.zeros((min(max(2 * len(self.rows), end), self.index.size + 1), N_ALPHA))
+            grown[: self.held] = self.rows[: self.held]
+            self.rows = grown
+        fresh = np.arange(self.held, end)
+        self.index[blocks[new]] = fresh
+        idx[new] = fresh
+        self.held = end
+        return idx
+
+    def maximum(self, other: "BlockRows") -> None:
+        """Pointwise maximum with ``other``, over the union of charged blocks;
+        a block that ``other`` never charged keeps its row, as rows are
+        non-negative."""
+        blocks = np.flatnonzero(other.index)
+        idx = self._slots(blocks)
+        self.rows[idx] = np.maximum(self.rows[idx], other.gather(blocks)[1])
+
+    def copy(self) -> "BlockRows":
+        dup = BlockRows.__new__(BlockRows)
+        dup.index = self.index.copy()
+        dup.rows = self.rows[: self.held].copy()
+        dup.held = self.held
+        return dup
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks holding a nonzero row, ascending, and those rows."""
+        blocks = np.flatnonzero(self.index)
+        rows = self.gather(blocks)[1]
+        keep = rows.any(axis=1)
+        return blocks[keep], rows[keep]
+
+
 class FilterState:
-    """Cumulative RDP accumulators per (rule, block, time cell)."""
+    """Cumulative RDP accumulators per (rule, block, time cell): one
+    ``BlockRows`` store per (rule, cell) that holds a row for each block
+    charged in that cell."""
 
     def __init__(self, domain: BlockDomain):
         self.domain = domain
         self.now = domain.time_axis.horizon if domain.time_axis else 0
-        self._cells: dict[str, dict[str, np.ndarray]] = {}
+        self._cells: dict[str, dict[str, BlockRows]] = {}
 
     # -- cell addressing ----------------------------------------------------
 
@@ -134,16 +249,15 @@ class FilterState:
 
     # -- accumulator access ---------------------------------------------------
 
-    def array(self, rule_id: str, cell: str) -> np.ndarray | None:
+    def array(self, rule_id: str, cell: str) -> BlockRows | None:
         return self._cells.get(rule_id, {}).get(cell)
 
-    def ensure(self, rule_id: str, cell: str) -> np.ndarray:
+    def ensure(self, rule_id: str, cell: str) -> BlockRows:
         per_rule = self._cells.setdefault(rule_id, {})
-        arr = per_rule.get(cell)
-        if arr is None:
-            arr = np.zeros((self.domain.domain_size, N_ALPHA))
-            per_rule[cell] = arr
-        return arr
+        store = per_rule.get(cell)
+        if store is None:
+            store = per_rule[cell] = BlockRows(self.domain.domain_size)
+        return store
 
     def collapse_time(self, new_now: int) -> None:
         """Advance the frontier, folding steps that leave the granular window
@@ -165,17 +279,15 @@ class FilterState:
             for cell in [c for c in per_rule if (s := _cell_step(c)) is not None and s <= cutoff]:
                 hist = per_rule.get(CELL_HIST)
                 if hist is None:
-                    hist = np.zeros((self.domain.domain_size, N_ALPHA))
-                    per_rule[CELL_HIST] = hist
-                np.maximum(hist, per_rule[cell], out=hist)
-                del per_rule[cell]
+                    hist = per_rule[CELL_HIST] = BlockRows(self.domain.domain_size)
+                hist.maximum(per_rule.pop(cell))
         self.now = new_now
 
     def copy(self) -> "FilterState":
         dup = FilterState(self.domain)
         dup.now = self.now
         dup._cells = {
-            rid: {cell: arr.copy() for cell, arr in per_rule.items()}
+            rid: {cell: store.copy() for cell, store in per_rule.items()}
             for rid, per_rule in self._cells.items()
         }
         return dup
@@ -186,11 +298,11 @@ class FilterState:
         cells: dict[str, dict[str, dict]] = {}
         for rid, per_rule in self._cells.items():
             out_rule: dict[str, dict] = {}
-            for cell, arr in per_rule.items():
-                nz = np.flatnonzero(arr.any(axis=1))
-                if nz.size == 0:
+            for cell, store in per_rule.items():
+                blocks, rows = store.nonzero()
+                if blocks.size == 0:
                     continue
-                out_rule[cell] = {"blocks": nz.tolist(), "curves": arr[nz].tolist()}
+                out_rule[cell] = {"blocks": blocks.tolist(), "curves": rows.tolist()}
             if out_rule:
                 cells[rid] = out_rule
         return {"now": self.now, "domain": self.domain.to_dict(), "cells": cells}
@@ -203,7 +315,7 @@ class FilterState:
                 raise ValidationError(f"unknown state keys: {sorted(unknown)}")
             state = cls(BlockDomain.from_dict(d["domain"]))
             horizon = state.now  # a fresh state starts at the horizon, or at 0
-            state.now = int(d.get("now", horizon))
+            state.now = _read_count(d.get("now", horizon), "now")
             if state.now < horizon:
                 raise ValidationError(f"state time step {state.now} is behind the horizon {horizon}")
             addressable = {CELL_STATIC}
@@ -233,7 +345,7 @@ class FilterState:
                             f"state cell {rid}/{cell}: curves must be one row of {N_ALPHA} "
                             f"finite, non-negative values per block"
                         )
-                    state.ensure(rid, cell)[blocks] = curves
+                    state.ensure(rid, cell).put(blocks, curves)
         return state
 
 
@@ -325,32 +437,40 @@ def check_and_commit(
     time_axis = state.domain.time_axis
     matches = match_rules(poset, request.mechanisms)
 
-    plan: list[tuple[str, list[str], np.ndarray]] = []
+    # each (rule, cell) store's rows are gathered and composed once: the
+    # check reads the composed rows and an accepted commit writes them back
+    plan: list[tuple[str, str, BlockRows, np.ndarray, np.ndarray]] = []
     violations: list[Violation] = []
     for i, rule in enumerate(poset.rules):
         mech_idx = matches[i]
         if not mech_idx:
             continue
-        cost = np.zeros(N_ALPHA)
-        for m in mech_idx:
-            cost += np.asarray(request.mechanisms[m].cost_by_unit[rule.unit].curve)
+        first, *rest = mech_idx
+        cost = np.array(request.mechanisms[first].cost_by_unit[rule.unit].curve)
+        for m in rest:
+            cost += request.mechanisms[m].cost_by_unit[rule.unit].curve
         time_based = time_axis is not None and rule.unit == time_axis.unit
         cells = state.cells_for(time_based, request.time_step)
         if sel.size == 0:
             continue
         budget = scale_budget(rule.budget, budget_scale)
         for cell in cells:
-            arr = state.array(rule.rule_id, cell)
-            rows = cost[None, :] if arr is None else arr[sel] + cost
+            # a store is made here, not at commit, so that a domain too
+            # large to index fails before the state changes
+            store = state.array(rule.rule_id, cell)
+            if store is None:
+                store = BlockRows(state.domain.domain_size)
+            idx, rows = store.gather(sel)
+            rows += cost
             if not within_budget(rows, budget).all():
                 violations.append(Violation(rule.rule_id, "cumulative", cell))
-        plan.append((rule.rule_id, cells, cost))
+            plan.append((rule.rule_id, cell, store, idx, rows))
 
     if violations:
         return Decision(False, "cumulative", tuple(violations))
-    for rule_id, cells, cost in plan:
-        for cell in cells:
-            state.ensure(rule_id, cell)[sel] += cost
+    for rule_id, cell, store, idx, rows in plan:
+        state._cells.setdefault(rule_id, {})[cell] = store
+        store.put(sel, rows, idx)
     return Decision(True, "accepted")
 
 
@@ -359,10 +479,13 @@ def headroom(state: FilterState, poset: RulePoset, budget_scale: float = 1.0) ->
     out: dict[str, dict] = {}
     for rule in poset.rules:
         budget = scale_budget(rule.budget, budget_scale)
-        per_rule = state._cells.get(rule.rule_id, {})
+        # the zero row that stands for uncharged blocks moves no max or min:
+        # epsilon and utilization only grow with the accumulator
+        stores = state._cells.get(rule.rule_id, {}).values()
+        held = [store.held_rows() for store in stores]
         if isinstance(budget, ADP):
             consumed = 0.0
-            for arr in per_rule.values():
+            for arr in held:
                 if arr.any():
                     consumed = max(consumed, float(rdp_epsilon(arr, budget.delta).max()))
             out[rule.rule_id] = {
@@ -373,7 +496,7 @@ def headroom(state: FilterState, poset: RulePoset, budget_scale: float = 1.0) ->
         elif isinstance(budget, RDP):
             curve = np.asarray(budget.curve)
             used = 0.0
-            for arr in per_rule.values():
+            for arr in held:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     frac = np.where(curve > 0, arr / curve, np.where(arr > 0, np.inf, 0.0))
                 if frac.size:

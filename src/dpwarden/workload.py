@@ -39,7 +39,7 @@ from .core import (
     eval_predicate,
     expand_block_range,
 )
-from .decision import N_ALPHA, BlockDomain, DecisionPoint, TimeAxis
+from .decision import BlockDomain, BlockRows, DecisionPoint, TimeAxis
 from .errors import ConfigError, reading
 from .poset import build_poset, prune
 
@@ -563,8 +563,8 @@ class ScenarioResult:
 
 class _Scope:
     """Post-hoc per-scope accounting, independent of the decision point: a
-    monitor-only filter with one RDP accumulator row per block, allocated on
-    the first charge.
+    monitor-only filter whose ``_acc`` is a ``BlockRows`` store, one RDP
+    accumulator row per block the scope has charged.
 
     Reports are incremental: ``report`` evaluates only the rows charged since
     the last report and keeps a running max, which is exact because a row's
@@ -579,9 +579,8 @@ class _Scope:
         self.bound = bound
         self.month = month
         self.delta = cfg.delta_budget
-        self.domain_size = cfg.pa_domain_size
-        self._acc: np.ndarray | None = None
-        self._dirty: np.ndarray | None = None
+        self._acc = BlockRows(cfg.pa_domain_size)
+        self._dirty = np.zeros(cfg.pa_domain_size, dtype=bool)
         self._eps = 0.0
 
     def add(self, request: ReleaseRequest) -> None:
@@ -596,20 +595,16 @@ class _Scope:
             cost = mech.cost_by_unit.get(self.unit)
             if cost is None:
                 continue
-            if self._acc is None:
-                self._acc = np.zeros((self.domain_size, N_ALPHA))
-                self._dirty = np.zeros(self.domain_size, dtype=bool)
-            self._acc[request.pa_selection] += np.asarray(cost.curve)
+            self._acc.add(request.pa_selection, cost.curve)
             charged = True
         if charged:
             self._dirty[request.pa_selection] = True
 
     def report(self) -> ScopeCost:
-        if self._dirty is not None:
-            rows = np.flatnonzero(self._dirty)
-            if rows.size:
-                self._eps = max(self._eps, float(rdp_epsilon(self._acc[rows], self.delta).max()))
-                self._dirty[rows] = False
+        blocks = np.flatnonzero(self._dirty)
+        if blocks.size:
+            self._eps = max(self._eps, float(rdp_epsilon(self._acc.gather(blocks)[1], self.delta).max()))
+            self._dirty[blocks] = False
         violation = self.bound is not None and self._eps > self.bound + 1e-9
         return ScopeCost(self._eps, self.bound, violation)
 

@@ -3,6 +3,7 @@ and naive reference engines used as oracles."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -264,6 +265,37 @@ def naive_cells(time_based: bool, time_step, now: int, window: int) -> list[str]
     if time_step in granular:
         return [step_cell(time_step)]
     return [CELL_HIST]
+
+
+def dense(store) -> np.ndarray:
+    """The ``(domain_size, n_alpha)`` array a ``BlockRows`` store stands for:
+    every uncharged block reads the zero row of slot 0."""
+    return store.rows[store.index]
+
+
+def fill(store, arr: np.ndarray) -> None:
+    """Charge every block of a ``BlockRows`` store with its row of ``arr``."""
+    store.put(np.arange(len(arr)), arr)
+
+
+def dense_cells(state) -> dict[tuple[str, str], np.ndarray]:
+    """Every (rule, cell) store of a ``FilterState`` as its dense array."""
+    return {
+        (rid, cell): dense(store)
+        for rid, per_rule in state._cells.items()
+        for cell, store in per_rule.items()
+    }
+
+
+def assert_same_state(state, other) -> None:
+    """Two filter states hold the same stores, bit for bit, and serialize to
+    the same bytes."""
+    assert state.now == other.now
+    mine, theirs = dense_cells(state), dense_cells(other)
+    assert mine.keys() == theirs.keys()
+    for key, arr in mine.items():
+        assert arr.shape == theirs[key].shape and arr.tobytes() == theirs[key].tobytes(), key
+    assert json.dumps(state.to_dict()) == json.dumps(other.to_dict())
 
 
 def replay_accumulate(rules, accepted, domain, orders=DEFAULT_ALPHA_ORDERS):

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _util import hasse_fixture, random_rule_set, random_trace, replay_accumulate  # noqa: E402
+from _util import (  # noqa: E402
+    assert_same_state,
+    hasse_fixture,
+    random_rule_set,
+    random_trace,
+    replay_accumulate,
+)
 
 from dpwarden.accounting import (
     epsilon_for_auxiliary_unit,
@@ -172,11 +178,7 @@ def test_decision_point_soundness():
                 accepted.append(request)
             elif snapshot is not None:
                 n_rejects_checked += 1
-                assert point.state.now == snapshot.now
-                assert point.state._cells.keys() == snapshot._cells.keys()
-                for rid, per_rule in point.state._cells.items():
-                    for cell, arr in per_rule.items():
-                        assert np.array_equal(arr, snapshot._cells[rid][cell])
+                assert_same_state(point.state, snapshot)
         # replay-recompute cumulative cost per (rule, block, cell) via direct
         # predicate evaluation; every cell must satisfy its (scaled) budget
         acc = replay_accumulate(point_poset.rules, accepted, domain)

@@ -227,6 +227,18 @@ def test_check_rejects_malformed_state_without_writing(tmp_path, capsys):
     assert state.read_bytes() == before
 
 
+def test_check_refuses_a_domain_too_large_to_index(tmp_path, capsys):
+    argv, _, state = _check_argv(tmp_path)
+    state.write_text(json.dumps({"now": 0, "domain": {"domain_size": 10**15}, "cells": {}}))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "too large" in captured.err
+    assert captured.out == ""
+    assert state.read_bytes() == before
+
+
 
 def _check_argv(tmp_path):
     """A compiled rule set, a request and a state file not yet written."""

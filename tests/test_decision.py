@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpwarden.accounting import (
     calibrate_gaussian_rho,
     gaussian_curve,
     pure_curve,
+    rdp_epsilon,
+    scale_budget,
     zero_curve,
 )
 from dpwarden.compiler import compile_policy_set, parse_policy_set
@@ -33,8 +36,10 @@ from dpwarden.core import (
 )
 from dpwarden.decision import (
     BlockDomain,
+    BlockRows,
     CELL_FUTURE,
     CELL_HIST,
+    CELL_STATIC,
     N_ALPHA,
     DecisionPoint,
     FilterState,
@@ -51,6 +56,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _util import (  # noqa: E402
     NaiveEngine,
     annotated_policy_doc,
+    assert_same_state,
+    dense,
+    dense_cells,
+    fill,
     random_rule_set,
     random_trace,
     team_request_doc,
@@ -188,27 +197,34 @@ def test_collapse_examples():
     c2 = np.array([gaussian_curve(0.02).curve] * 2)
 
     # advancing by one with an empty oldest step leaves the interval alone
-    state.ensure("r", step_cell(9))[:] = c1
+    fill(state.ensure("r", step_cell(9)), c1)
     state.collapse_time(10)
     assert state.array("r", CELL_HIST) is None
 
     # absorbing a step into an empty interval copies the curve
     state2 = FilterState(domain)
-    state2.ensure("r", step_cell(3))[:] = c1
+    fill(state2.ensure("r", step_cell(3)), c1)
     state2.collapse_time(10)
-    assert np.array_equal(state2.array("r", CELL_HIST), c1)
+    assert dense(state2.array("r", CELL_HIST)).tobytes() == c1.tobytes()
 
     # absorbing two steps takes the pointwise maximum
     state3 = FilterState(domain)
-    arr1 = state3.ensure("r", step_cell(3))
-    arr1[:] = c1
-    arr1[0, 0] = 99.0
-    state3.ensure("r", step_cell(4))[:] = c2
+    first = c1.copy()
+    first[0, 0] = 99.0
+    fill(state3.ensure("r", step_cell(3)), first)
+    fill(state3.ensure("r", step_cell(4)), c2)
     state3.collapse_time(11)
-    merged = state3.array("r", CELL_HIST)
+    merged = dense(state3.array("r", CELL_HIST))
     assert merged[0, 0] == 99.0
+    assert merged.tobytes() == np.maximum(first, c2).tobytes()
     assert np.array_equal(merged[1], c2[1])
 
+    # a step charged on one block only leaves the other block's row alone
+    state4 = FilterState(domain)
+    fill(state4.ensure("r", CELL_HIST), c1)
+    state4.ensure("r", step_cell(3)).put(np.array([1]), c2[1:])
+    state4.collapse_time(10)
+    assert dense(state4.array("r", CELL_HIST)).tobytes() == np.array([c1[0], c2[1]]).tobytes()
 
 
 def test_release_over_all_time_charges_steps_that_open_later():
@@ -226,14 +242,17 @@ def test_collapse_monotone_never_forgets():
     rng = np.random.default_rng(5)
     domain = BlockDomain(("pa",), 4, TimeAxis("m", 3, 6))
     state = FilterState(domain)
+    steps = {}
     for step in range(7):
-        arr = state.ensure("r", step_cell(step))
-        arr[:] = rng.uniform(0, 1, size=arr.shape)
+        steps[step] = rng.uniform(0, 1, size=(4, N_ALPHA))
+        fill(state.ensure("r", step_cell(step)), steps[step])
     before = state.array("r", CELL_HIST)
-    before = np.zeros((4, N_ALPHA)) if before is None else before.copy()
+    before = np.zeros((4, N_ALPHA)) if before is None else dense(before)
     state.collapse_time(9)
-    after = state.array("r", CELL_HIST)
+    after = dense(state.array("r", CELL_HIST))
     assert (after >= before - 1e-15).all()
+    # steps 0..6 all left the window [7, 9]: hist is their pointwise max
+    assert after.tobytes() == np.maximum.reduce(list(steps.values())).tobytes()
     assert state.now == 9
     with pytest.raises(Exception):
         state.collapse_time(5)
@@ -319,19 +338,11 @@ def test_reject_leaves_state_bit_identical_and_replayable():
             if point.process(req).accepted:
                 accepted.append(req)
             else:
-                assert point.state.now == snapshot.now
-                assert point.state._cells.keys() == snapshot._cells.keys()
-                for rid, per_rule in point.state._cells.items():
-                    assert per_rule.keys() == snapshot._cells[rid].keys()
-                    for cell, arr in per_rule.items():
-                        assert np.array_equal(arr, snapshot._cells[rid][cell])
+                assert_same_state(point.state, snapshot)
         replay = DecisionPoint(poset, domain=BlockDomain(("pa",), 4))
         for req in accepted:
             assert replay.process(req).accepted
-        assert replay.state._cells.keys() == point.state._cells.keys()
-        for rid, per_rule in replay.state._cells.items():
-            for cell, arr in per_rule.items():
-                assert np.array_equal(arr, point.state._cells[rid][cell])
+        assert_same_state(replay.state, point.state)
 
 
 def test_empty_selection_accepts_without_charging():
@@ -367,11 +378,9 @@ def test_state_serialization_round_trip():
     point.process(_time_request("q2", 5))
     payload = json.loads(json.dumps(point.state.to_dict()))
     restored = FilterState.from_dict(payload)
-    assert restored.now == point.state.now
-    for rid, per_rule in point.state._cells.items():
-        for cell, arr in per_rule.items():
-            if arr.any():
-                assert np.allclose(restored.array(rid, cell), arr)
+    # JSON floats round-trip exactly
+    assert_same_state(restored, point.state)
+    assert dense_cells(restored)
     # a decision made on the restored state matches one on the original
     fresh_poset = point.poset
     d1 = check_and_commit(point.state, _time_request("q3", 6), fresh_poset)
@@ -392,7 +401,7 @@ _ROW = list(gaussian_curve(0.01).curve)
 
 def test_state_load_places_each_curve_at_its_block():
     state = FilterState.from_dict(_state_doc([3, 0], [_ROW, [2 * c for c in _ROW]]))
-    arr = state.array("r", "static")
+    arr = dense(state.array("r", "static"))
     assert arr.tolist() == [[2 * c for c in _ROW], [0.0] * len(_ROW), [0.0] * len(_ROW), _ROW]
 
 
@@ -451,6 +460,31 @@ def test_state_load_rejects_missing_or_mistyped_fields(edit):
         FilterState.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["domain_size", "granular_window", "horizon", "now"])
+@pytest.mark.parametrize("value", [2048.9, 6.0, True, False, "64", None])
+def test_state_load_refuses_a_count_that_is_not_an_integer(field, value):
+    """``int()`` would read 2048.9 as 2048, true as 1 and "64" as 64."""
+    doc = _state_doc([0], [_ROW])
+    doc["domain"]["time_axis"] = {"unit": "m", "granular_window": 3, "horizon": 6}
+    doc["now"] = 6
+    holder = {"domain_size": doc["domain"], "now": doc}.get(field, doc["domain"]["time_axis"])
+    holder[field] = value
+    with pytest.raises(ValidationError):
+        FilterState.from_dict(json.loads(json.dumps(doc)))
+
+
+def test_a_domain_too_large_to_index_fails_before_the_state_changes():
+    state = FilterState.from_dict(
+        {"now": 0, "domain": BlockDomain(("pa",), 10**15).to_dict(), "cells": {}}
+    )
+    point = DecisionPoint(build_poset([_rule("r", TruePredicate(), set(), 1.0)], _user()))
+    point.state = state
+    req = ReleaseRequest("q", (_mech({"attr": ["a1"]}, gaussian_curve(0.01)),), (0, 5))
+    with pytest.raises(ValidationError, match="too large"):
+        point.process(req)
+    assert state.to_dict()["cells"] == {} and state._cells == {}
+
+
 def test_headroom_reports_consumption():
     point = _monthly_point()
     point.process(_time_request("q1", 6, eps=2.0))
@@ -458,3 +492,123 @@ def test_headroom_reports_consumption():
     assert room["budget_epsilon"] == pytest.approx(3.0)
     assert room["consumed_epsilon"] == pytest.approx(2.0, abs=1e-6)
     assert room["headroom_epsilon"] == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The per-block store against dense arrays
+# ---------------------------------------------------------------------------
+
+_STORE_DOMAIN = 6
+_selections = st.one_of(
+    st.just([]),
+    st.just(list(range(_STORE_DOMAIN))),
+    st.lists(st.integers(0, _STORE_DOMAIN - 1), max_size=2 * _STORE_DOMAIN),  # repeats
+)
+_costs = st.one_of(
+    st.just(np.zeros(N_ALPHA)),  # a charged block may still hold a zero row
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=N_ALPHA, max_size=N_ALPHA).map(np.array),
+)
+_store_ops = st.one_of(
+    st.tuples(st.just("compose"), st.integers(0, 2), _selections, _costs),
+    st.tuples(st.just("add"), st.integers(0, 2), _selections, _costs),
+    st.tuples(st.just("maximum"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("copy"), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+def _selection(blocks):
+    """A selection normalised as a request's is: sorted, each block once."""
+    return ReleaseRequest("q", (), blocks).pa_selection
+
+
+def _round_trip_bytes(store) -> tuple[str, str]:
+    state = FilterState(BlockDomain(("pa",), _STORE_DOMAIN))
+    state._cells = {"r": {CELL_STATIC: store}}
+    first = json.dumps(state.to_dict())
+    return first, json.dumps(FilterState.from_dict(json.loads(first)).to_dict())
+
+
+def _dense_cells_doc(arr) -> dict:
+    """The state's ``cells`` for one dense static array: its nonzero rows."""
+    blocks = np.flatnonzero(arr.any(axis=1))
+    return {"r": {CELL_STATIC: {"blocks": blocks.tolist(), "curves": arr[blocks].tolist()}}} if blocks.size else {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_store_ops, max_size=30))
+def test_block_rows_match_a_dense_oracle(ops):
+    """Charges as the check composes them (gather, add, put back) and as a
+    scope adds them, merges and copies, interleaved."""
+    stores = [BlockRows(_STORE_DOMAIN) for _ in range(3)]
+    oracle = [np.zeros((_STORE_DOMAIN, N_ALPHA)) for _ in range(3)]
+    for op in ops:
+        kind, i = op[0], op[1]
+        if kind == "compose":
+            sel, cost = _selection(op[2]), op[3]
+            idx, rows = stores[i].gather(sel)
+            stores[i].put(sel, rows + cost, idx)
+            oracle[i][sel] += cost
+        elif kind == "add":
+            sel, cost = _selection(op[2]), op[3]
+            stores[i].add(sel, cost)
+            oracle[i][sel] += cost
+        elif kind == "maximum":
+            stores[i].maximum(stores[op[2]])
+            np.maximum(oracle[i], oracle[op[2]], out=oracle[i])
+        else:
+            stores[i] = stores[op[2]].copy()
+            oracle[i] = oracle[op[2]].copy()
+        for store, arr in zip(stores, oracle):
+            assert dense(store).tobytes() == arr.tobytes()
+            assert store.shape[0] <= len(store.rows) <= _STORE_DOMAIN + 1
+            assert not store.rows[0].any() and not store.rows[store.held:].any()
+            first, again = _round_trip_bytes(store)
+            assert first == again
+            assert json.loads(first)["cells"] == _dense_cells_doc(arr)
+
+
+def _dense_headroom(state, poset, budget_scale):
+    """``headroom`` computed as over dense arrays, one row per block."""
+    out = {}
+    for rule in poset.rules:
+        budget = scale_budget(rule.budget, budget_scale)
+        arrays = [dense(store) for store in state._cells.get(rule.rule_id, {}).values()]
+        if isinstance(budget, ADP):
+            consumed = max([0.0, *(float(rdp_epsilon(a, budget.delta).max()) for a in arrays if a.any())])
+            out[rule.rule_id] = {
+                "budget_epsilon": budget.epsilon,
+                "consumed_epsilon": consumed,
+                "headroom_epsilon": budget.epsilon - consumed,
+            }
+        else:
+            curve = np.asarray(budget.curve)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fracs = [np.where(curve > 0, a / curve, np.where(a > 0, np.inf, 0.0)) for a in arrays]
+            out[rule.rule_id] = {"utilization": max([0.0, *(float(f.min(axis=1).max()) for f in fracs)])}
+    return out
+
+
+def test_headroom_equals_a_dense_recompute():
+    rng = np.random.default_rng(21)
+    all_charged = 0
+    for domain_size in (4, 64):
+        for _ in range(12):
+            rules, units = random_rule_set(rng)
+            # every other rule gets an RDP budget instead of its ADP one
+            rules = [
+                dataclasses.replace(r, budget=RDP(gaussian_curve(float(rng.uniform(0.02, 0.3))).curve))
+                if k % 2 else r
+                for k, r in enumerate(rules)
+            ]
+            point = DecisionPoint(build_poset(rules, units), domain=BlockDomain(("pa",), domain_size))
+            whole = ReleaseRequest("all", random_trace(rng, units, domain_size, 5)[0].mechanisms,
+                                   range(domain_size))
+            for req in [whole, *random_trace(rng, units, domain_size=domain_size, max_requests=40)]:
+                point.process(req, budget_scale=0.5)
+                for scale in (1.0, 0.5):
+                    assert point.headroom(scale) == _dense_headroom(point.state, point.poset, scale)
+            all_charged += any(
+                store.shape[0] == domain_size + 1
+                for per_rule in point.state._cells.values() for store in per_rule.values()
+            )
+    assert all_charged > 0

@@ -27,7 +27,7 @@ from dpwarden.workload import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _util import replay_scope_epsilon  # noqa: E402
+from _util import dense, replay_scope_epsilon  # noqa: E402
 
 
 def small_cfg(**kw):
@@ -264,8 +264,11 @@ def test_scope_reports_match_pure_python_replay(scenario, monkeypatch):
 
 
 def full_scope_epsilon(scope) -> float:
-    """The scope report recomputed over every accumulator row."""
-    return 0.0 if scope._acc is None else float(rdp_epsilon(scope._acc, scope.delta).max())
+    """The scope report recomputed over every block's accumulator row; 0.0
+    while no block has been charged."""
+    if scope._acc.shape[0] == 1:  # the zero row alone
+        return 0.0
+    return float(rdp_epsilon(dense(scope._acc), scope.delta).max())
 
 
 _SCOPE_DOMAIN = 6
@@ -325,3 +328,34 @@ def test_paper_scale_scope_reports_equal_full_recompute(monkeypatch):
     result = run_scenario(cfg)
     assert len(checked) == cfg.rounds * len(result.reports[0].scopes)
     assert any(checked)
+
+
+def test_state_and_scopes_hold_rows_only_for_charged_blocks():
+    """A hundred-odd narrow requests on the paper-scale domain of 204,800
+    blocks: every filter and scope store holds far less than a dense
+    ``(domain_size, n_alpha)`` array would."""
+    from dataclasses import replace
+
+    from dpwarden.compiler import compile_policy_set, parse_policy_set
+    from dpwarden.decision import N_ALPHA, BlockDomain, DecisionPoint
+    from dpwarden.poset import build_poset, prune
+    from dpwarden.workload import _build_scopes
+
+    cfg = replace(WorkloadConfig.paper_scale("s2", 10.0, 0), rounds=1, requests_per_round=120.0)
+    schema = build_schema(cfg)
+    policy = parse_policy_set(build_policy_document(cfg, schema))
+    point = DecisionPoint(prune(build_poset(compile_policy_set(policy), policy.unit_graph())),
+                          policy.per_release, BlockDomain(("pa",), cfg.pa_domain_size))
+    scopes = _build_scopes(cfg, schema)
+    accepted = 0
+    for request in generate_workload(cfg, schema)[0]:
+        if point.process(request).accepted:
+            accepted += 1
+            for scope in scopes:
+                scope.add(request)
+    assert accepted >= 90
+    stores = [store for per_rule in point.state._cells.values() for store in per_rule.values()]
+    stores += [scope._acc for scope in scopes]
+    assert len(stores) > 20
+    dense_nbytes = cfg.pa_domain_size * N_ALPHA * np.dtype(float).itemsize
+    assert sum(store.nbytes for store in stores) < 0.1 * len(stores) * dense_nbytes
