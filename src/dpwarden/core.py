@@ -25,11 +25,12 @@ DEFAULT_ALPHA_ORDERS: tuple[float, ...] = (
 ATTR_KEY = "attr"
 CONTEXT_KEY = "context"
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 def _check_name(value: str, what: str) -> str:
-    if not isinstance(value, str) or not _NAME_RE.match(value):
+    # fullmatch: `$` would also match before a final newline
+    if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
         raise ValidationError(f"{what} must be a non-empty string over [A-Za-z0-9_.-], got {value!r}")
     return value
 

@@ -143,6 +143,27 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _unit_named_with_a_newline(doc):
+    doc["units"] = [{"name": "user\n"}]
+    for policy in doc["base_policies"] + doc["per_release_policies"]:
+        policy["unit"] = "user\n"
+
+
+def _label_value_with_a_newline(doc):
+    doc["base_policies"][0]["predicate"] = {"op": "has_label", "key": "k", "value": "v\n"}
+
+
+@pytest.mark.parametrize("edit", [_unit_named_with_a_newline, _label_value_with_a_newline])
+def test_compile_refuses_a_name_with_a_trailing_newline(tmp_path, capsys, edit):
+    doc = policy_doc()
+    edit(doc)
+    policies, rules = tmp_path / "policies.json", tmp_path / "rules.json"
+    policies.write_text(json.dumps(doc))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not rules.exists()
+
+
 def test_check_rejects_out_of_range_block_without_writing(tmp_path, capsys):
     policies = tmp_path / "policies.json"
     policies.write_text(json.dumps(policy_doc()))

@@ -68,6 +68,19 @@ def test_label_charset_rejected():
         LabelSet({"k": ["has space"]})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LabelSet({"k\n": ["v"]}),
+    lambda: LabelSet({"k": ["v\n"]}),
+    lambda: HasLabel("k", "v\n"),
+    lambda: AttrIntersects(frozenset({"a1\n"})),
+    lambda: PrivacyUnit("user\n"),
+])
+def test_a_name_with_a_trailing_newline_is_refused(build):
+    # `$` also matches before a final newline
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_budget_leq_examples():
     assert budget_leq(ADP(3, 1e-7), ADP(3, 1e-7))
     assert not budget_leq(ADP(5, 1e-7), ADP(3, 1e-7))
