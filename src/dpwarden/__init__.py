@@ -45,6 +45,7 @@ from .decision import (
     Decision,
     DecisionPoint,
     FilterState,
+    RuleIndex,
     TimeAxis,
     check_and_commit,
     check_per_release,

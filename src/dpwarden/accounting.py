@@ -224,13 +224,11 @@ def scale_budget(budget: PrivacyBudget, fraction: float) -> PrivacyBudget:
         raise ValidationError("scale fraction must be non-negative")
     if fraction == 1.0:
         return budget
-    if isinstance(budget, PureDP):
-        return PureDP(budget.epsilon * fraction)
     if isinstance(budget, ADP):
         return ADP(budget.epsilon * fraction, budget.delta)
-    if isinstance(budget, ZCDP):
-        return ZCDP(budget.rho * fraction)
-    return RDP(tuple(c * fraction for c in budget.curve))
+    if isinstance(budget, RDP):
+        return RDP(tuple(c * fraction for c in budget.curve))
+    raise UnsupportedVariant(f"budget scaling is defined on ADP and RDP, not {type(budget).__name__}")
 
 
 @lru_cache(maxsize=256)

@@ -13,11 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .compiler import compile_policy_set, parse_policy_set
+from .compiler import check_enforceable, compile_policy_set, parse_policy_set
 from .core import DEFAULT_ALPHA_ORDERS, ReleaseRequest, Rule, UnitGraph
 from .decision import BlockDomain, DecisionPoint, FilterState, TimeAxis
-from .errors import DPWardenError, ParseError, reading
-from .poset import RulePoset, build_poset, prune_with_report, to_dot
+from .errors import DPWardenError, ParseError, ValidationError, reading
+from .poset import build_poset, prune_with_report, to_dot
 from .workload import WorkloadConfig, emit_report, run_scenario
 
 RULES_FORMAT = "dpwarden-rules"
@@ -52,23 +52,36 @@ def _read_json(path: str, what: str):
         return json.loads(Path(path).read_text())
 
 
-def _load_rules(path: str) -> tuple[RulePoset, list[Rule]]:
-    """The rule poset and the per-release rules of a compiled rule set, both
-    built inside the document boundary."""
+def _load_rules(path: str) -> tuple[list[Rule], list[Rule]]:
+    """The active rules and the per-release rules of a compiled rule set,
+    both read and checked inside the document boundary."""
     with reading("rule set"):
         doc = json.loads(Path(path).read_text())
         if doc.get("format") != RULES_FORMAT:
             raise ParseError(f"{path} is not a compiled rule set")
         if doc["alpha_orders"] != list(DEFAULT_ALPHA_ORDERS):
             raise ParseError(f"{path} was compiled for other alpha orders than {list(DEFAULT_ALPHA_ORDERS)}")
-        poset = build_poset([Rule.from_dict(d) for d in doc["rules"]], UnitGraph.from_dicts(doc["units"]))
-        return poset, [Rule.from_dict(d) for d in doc.get("per_release_rules", ())]
+        units = UnitGraph.from_dicts(doc["units"])
+        rules = [Rule.from_dict(d) for d in doc["rules"]]
+        per_release = [Rule.from_dict(d) for d in doc.get("per_release_rules", ())]
+        ids: set[str] = set()
+        for rule in rules:
+            # rule ids key the filter state: two rules under one id would
+            # share an accumulator, each charged for the other's releases
+            if rule.rule_id in ids:
+                raise ValidationError(f"duplicate rule id {rule.rule_id!r}")
+            ids.add(rule.rule_id)
+        for rule in rules + per_release:
+            if rule.unit not in units:
+                raise ValidationError(f"rule {rule.rule_id!r} uses undeclared unit {rule.unit!r}")
+        check_enforceable(rules + per_release)
+        return rules, per_release
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    poset, per_release = _load_rules(args.rules)
+    rules, per_release = _load_rules(args.rules)
     axis = TimeAxis(args.time_unit, args.window, args.horizon) if args.time_unit else None
-    point = DecisionPoint(poset, per_release, BlockDomain((), args.blocks, axis))
+    point = DecisionPoint(rules, per_release, BlockDomain((), args.blocks, axis))
 
     state_path = Path(args.state)
     if state_path.exists():

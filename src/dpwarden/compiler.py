@@ -14,7 +14,7 @@ import bisect
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .accounting import scale_budget
 from .core import (
@@ -29,11 +29,10 @@ from .core import (
     Predicate,
     PrivacyBudget,
     Provenance,
-    PureDP,
+    RDP,
     Rule,
     TruePredicate,
     UnitGraph,
-    ZCDP,
     budget_from_dict,
     conjunction_atoms,
     predicate_from_dict,
@@ -50,17 +49,6 @@ class MembershipLevel(str, Enum):
 # ---------------------------------------------------------------------------
 # Budget functions
 # ---------------------------------------------------------------------------
-
-def _map_epsilon(budget: PrivacyBudget, fn) -> PrivacyBudget:
-    """Apply a scalar map to the headline parameter of a budget."""
-    if isinstance(budget, PureDP):
-        return PureDP(fn(budget.epsilon))
-    if isinstance(budget, ADP):
-        return ADP(fn(budget.epsilon), budget.delta)
-    if isinstance(budget, ZCDP):
-        return ZCDP(fn(budget.rho))
-    raise UnsupportedVariant("budget maps are defined on epsilon/rho, not RDP curves")
-
 
 @dataclass(frozen=True)
 class Identity:
@@ -121,7 +109,9 @@ class MapTable:
         return MapTable(tuple((y, x) for x, y in self.knots), clamp=self.clamp)
 
     def apply(self, budget: PrivacyBudget) -> PrivacyBudget:
-        return _map_epsilon(budget, self.map_value)
+        if not isinstance(budget, ADP):
+            raise UnsupportedVariant(f"budget maps are defined on ADP epsilon, not {type(budget).__name__}")
+        return ADP(self.map_value(budget.epsilon), budget.delta)
 
 
 BudgetFn = Union[Identity, Scale, MapTable]
@@ -344,7 +334,21 @@ def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
                     Provenance(name, i),
                 )
             )
+        check_enforceable(base + per_release)
         return PolicySet(units, tuple(base), exts, tuple(per_release))
+
+
+def check_enforceable(rules: Iterable[Rule]) -> None:
+    """Refuse a rule whose budget no filter can enforce: filters check
+    composed RDP curves against an ADP or an RDP budget only.  Extensions
+    map ADP to ADP and scale RDP to RDP, so checking the rules a document
+    generates also covers the rules compiled from them."""
+    for rule in rules:
+        if not isinstance(rule.budget, (ADP, RDP)):
+            raise ValidationError(
+                f"rule {rule.rule_id!r}: a budget must be ADP or RDP to be enforced, "
+                f"got {type(rule.budget).__name__}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,22 @@ CONTEXT_KEY = "context"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
+# names already found valid, up to a bound: a workload repeats a few hundred
+# names across every request it labels
+_VALID_NAMES: set[str] = set()
+_VALID_NAMES_MAX = 4096
+
 
 def _check_name(value: str, what: str) -> str:
+    # exact str only: a subclass could hash and compare like a valid name
+    exact = type(value) is str
+    if exact and value in _VALID_NAMES:
+        return value
     # fullmatch: `$` would also match before a final newline
     if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
         raise ValidationError(f"{what} must be a non-empty string over [A-Za-z0-9_.-], got {value!r}")
+    if exact and len(_VALID_NAMES) < _VALID_NAMES_MAX:
+        _VALID_NAMES.add(value)
     return value
 
 
@@ -283,6 +294,9 @@ class LabelSet:
 
     def keys(self):
         return self._entries.keys()
+
+    def items(self):
+        return self._entries.items()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LabelSet) and self._entries == other._entries

@@ -1,9 +1,10 @@
 """Stateful two-stage policy decision point.
 
-Stage one checks per-release rules statelessly.  Stage two evaluates every
-active rule's predicate on every mechanism and runs an RDP privacy filter
-for every (block, time-cell) a request touches.  The rule poset is not
-consulted for matching: it serves pruning and DOT export only.  Commits are
+Stage one checks per-release rules statelessly.  Stage two finds every
+active rule whose predicate a mechanism satisfies, through a ``RuleIndex``
+built once per rule set, and runs an RDP privacy filter for every (block,
+time-cell) a request touches.  The rule poset is a compile-time structure
+for pruning and DOT export; it plays no part here.  Commits are
 all-or-nothing: a rejected request leaves the filter state untouched.
 """
 
@@ -18,15 +19,19 @@ import numpy as np
 from .accounting import rdp_epsilon, scale_budget, within_budget
 from .core import (
     ADP,
+    ATTR_KEY,
     DEFAULT_ALPHA_ORDERS,
+    AttrIntersects,
+    HasLabel,
+    LabelSet,
     Mechanism,
     RDP,
     ReleaseRequest,
     Rule,
+    TruePredicate,
     eval_predicate,
 )
 from .errors import MissingCost, UnknownTimeStep, ValidationError, reading
-from .poset import RulePoset
 
 # width of an accumulator row: one entry per alpha order
 N_ALPHA = len(DEFAULT_ALPHA_ORDERS)
@@ -374,14 +379,80 @@ class Decision:
         }
 
 
-def check_per_release(request: ReleaseRequest, per_release_rules: Sequence[Rule]) -> Decision:
+_NO_MECHANISMS: frozenset[int] = frozenset()
+
+
+class RuleIndex:
+    """Rules indexed by the labels their predicates name, so that a label set
+    finds the rules it satisfies without evaluating every predicate: the
+    bucket indexes of publish/subscribe matching, one atom per predicate.
+
+    ``TruePredicate`` matches always; ``HasLabel(k, v)`` sits in the bucket of
+    ``(k, v)``, and ``AttrIntersects(A)`` in the bucket of ``("attr", a)`` for
+    each ``a`` in ``A``.  Any other predicate (``And``, ``Or``, ``Not``) is
+    evaluated with ``eval_predicate`` on each label set.  The items need only
+    a ``predicate`` and a ``unit``, so simulator scopes use the same index.
+    """
+
+    __slots__ = ("rules", "tracked_units", "_always", "_buckets", "_fallback")
+
+    def __init__(self, rules: Sequence[Rule]):
+        self.rules = tuple(rules)
+        # every mechanism must carry a cost for each of these units
+        self.tracked_units = frozenset(r.unit for r in self.rules)
+        self._always: list[int] = []
+        self._buckets: dict[str, dict[str, list[int]]] = {}
+        self._fallback: list[int] = []
+        for i, rule in enumerate(self.rules):
+            p = rule.predicate
+            if isinstance(p, TruePredicate):
+                self._always.append(i)
+            elif isinstance(p, HasLabel):
+                self._buckets.setdefault(p.key, {}).setdefault(p.value, []).append(i)
+            elif isinstance(p, AttrIntersects):
+                by_attr = self._buckets.setdefault(ATTR_KEY, {})
+                for a in p.attrs:
+                    by_attr.setdefault(a, []).append(i)
+            else:
+                self._fallback.append(i)
+
+    def matching(self, labels: LabelSet) -> set[int]:
+        """Indices of the rules whose predicate ``labels`` satisfies."""
+        hits = set(self._always)
+        for key, values in labels.items():
+            by_value = self._buckets.get(key)
+            if by_value is not None:
+                for v in values:
+                    hits.update(by_value.get(v, ()))
+        for i in self._fallback:
+            if eval_predicate(self.rules[i].predicate, labels):
+                hits.add(i)
+        return hits
+
+    def match(self, mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
+        """Indices of the mechanisms matching each rule, in rule order."""
+        per_rule: dict[int, list[int]] = {}
+        for m, mech in enumerate(mechanisms):
+            for i in self.matching(mech.labels):
+                per_rule.setdefault(i, []).append(m)
+        return [frozenset(per_rule[i]) if i in per_rule else _NO_MECHANISMS for i in range(len(self.rules))]
+
+
+def _as_index(rules) -> RuleIndex:
+    """An index over a rule sequence, or over the ``rules`` of a poset."""
+    if isinstance(rules, RuleIndex):
+        return rules
+    return RuleIndex(getattr(rules, "rules", rules))
+
+
+def check_per_release(request: ReleaseRequest, per_release_rules: RuleIndex | Sequence[Rule]) -> Decision:
     """Stage one: every mechanism's own cost must fit every matching
     per-release rule.  Stateless."""
+    index = _as_index(per_release_rules)
     violations = []
     for mech in request.mechanisms:
-        for rule in per_release_rules:
-            if not eval_predicate(rule.predicate, mech.labels):
-                continue
+        for i in sorted(index.matching(mech.labels)):
+            rule = index.rules[i]
             cost = mech.cost_by_unit.get(rule.unit)
             if cost is None:
                 raise MissingCost(
@@ -395,27 +466,26 @@ def check_per_release(request: ReleaseRequest, per_release_rules: Sequence[Rule]
     return Decision(True, "per_release")
 
 
-def match_rules(poset: RulePoset, mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
-    """Mechanism indices matching each rule, by evaluating every rule's
-    predicate on every mechanism.
+def match_rules(rules: RuleIndex | Sequence[Rule], mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
+    """Mechanism indices matching each rule, in rule order.
 
-    Order keys are not trusted here: an admin annotation may place a rule
-    below another whose predicate it does not imply.
+    Every rule is matched on its own predicate; order keys are not trusted
+    here, as an admin annotation may place a rule below another whose
+    predicate it does not imply.
     """
-    return [
-        frozenset(m for m, mech in enumerate(mechanisms) if eval_predicate(rule.predicate, mech.labels))
-        for rule in poset.rules
-    ]
+    return _as_index(rules).match(mechanisms)
 
 
 def check_and_commit(
     state: FilterState,
     request: ReleaseRequest,
-    poset: RulePoset,
+    rules: RuleIndex | Sequence[Rule],
     budget_scale: float = 1.0,
 ) -> Decision:
     """Stage two: cumulative check of every matching rule on every touched
-    (block, time-cell), then an atomic commit on acceptance."""
+    (block, time-cell), then an atomic commit on acceptance.  ``rules`` is
+    best a ``RuleIndex`` built once; a rule sequence or a poset is indexed
+    on each call."""
     # an unlock fraction may only shrink budgets; NaN would void them
     if not 0.0 <= budget_scale <= 1.0:
         raise ValidationError(f"budget scale must lie in [0, 1], got {budget_scale!r}")
@@ -426,23 +496,22 @@ def check_and_commit(
             f"of {state.domain.domain_size} blocks"
         )
 
-    tracked_units = {r.unit for r in poset.rules}
+    index = _as_index(rules)
     for mech in request.mechanisms:
-        missing = tracked_units - set(mech.cost_by_unit)
+        missing = index.tracked_units.difference(mech.cost_by_unit)
         if missing:
             raise MissingCost(
                 f"request {request.request_id!r}: mechanism lacks costs for tracked units {sorted(missing)}"
             )
 
     time_axis = state.domain.time_axis
-    matches = match_rules(poset, request.mechanisms)
+    matches = match_rules(index, request.mechanisms)
 
     # each (rule, cell) store's rows are gathered and composed once: the
     # check reads the composed rows and an accepted commit writes them back
     plan: list[tuple[str, str, BlockRows, np.ndarray, np.ndarray]] = []
     violations: list[Violation] = []
-    for i, rule in enumerate(poset.rules):
-        mech_idx = matches[i]
+    for rule, mech_idx in zip(index.rules, matches):
         if not mech_idx:
             continue
         first, *rest = mech_idx
@@ -474,10 +543,10 @@ def check_and_commit(
     return Decision(True, "accepted")
 
 
-def headroom(state: FilterState, poset: RulePoset, budget_scale: float = 1.0) -> dict[str, dict]:
+def headroom(state: FilterState, rules: RuleIndex | Sequence[Rule], budget_scale: float = 1.0) -> dict[str, dict]:
     """Per-rule consumed-vs-budget summary over all blocks and cells."""
     out: dict[str, dict] = {}
-    for rule in poset.rules:
+    for rule in getattr(rules, "rules", rules):
         budget = scale_budget(rule.budget, budget_scale)
         # the zero row that stands for uncharged blocks moves no max or min:
         # epsilon and utilization only grow with the accumulator
@@ -510,22 +579,30 @@ class DecisionPoint:
 
     def __init__(
         self,
-        poset: RulePoset,
+        rules: RuleIndex | Sequence[Rule],
         per_release_rules: Sequence[Rule] = (),
         domain: BlockDomain | None = None,
     ):
-        self.poset = poset
-        self.per_release_rules = tuple(per_release_rules)
+        """``rules`` are the active rules: a sequence, an index, or the
+        pruned poset that holds them."""
+        self.index = _as_index(rules)
+        self.per_release = RuleIndex(per_release_rules)
         self.state = FilterState(domain or BlockDomain())
 
+    @property
+    def poset(self) -> RuleIndex:
+        """The active rules' index, under the name that callers of the
+        poset-based decision point read; it keeps the poset's ``rules``."""
+        return self.index
+
     def process(self, request: ReleaseRequest, budget_scale: float = 1.0) -> Decision:
-        first = check_per_release(request, self.per_release_rules)
+        first = check_per_release(request, self.per_release)
         if not first.accepted:
             return first
-        return check_and_commit(self.state, request, self.poset, budget_scale)
+        return check_and_commit(self.state, request, self.index, budget_scale)
 
     def advance_time(self, new_now: int) -> None:
         self.state.collapse_time(new_now)
 
     def headroom(self, budget_scale: float = 1.0) -> dict[str, dict]:
-        return headroom(self.state, self.poset, budget_scale)
+        return headroom(self.state, self.index, budget_scale)

@@ -36,10 +36,9 @@ from .core import (
     ReleaseRequest,
     Rule,
     TruePredicate,
-    eval_predicate,
     expand_block_range,
 )
-from .decision import BlockDomain, BlockRows, DecisionPoint, TimeAxis
+from .decision import BlockDomain, BlockRows, DecisionPoint, RuleIndex, TimeAxis
 from .errors import ConfigError, reading
 from .poset import build_poset, prune
 
@@ -229,6 +228,11 @@ class WorkloadSchema:
     cat_probs: np.ndarray
     category_risk: dict[str, str]
     membership: dict[str, dict[str, MembershipLevel]]
+    # the sampler's first CDF of ``attr_probs``, made once per schema
+    attr_cdf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.attr_cdf = _cdf(self.attr_probs)
 
     def high_risk_attributes(self) -> list[str]:
         return [a for a in self.attributes if self.attr_risk[a] == "high"]
@@ -249,6 +253,43 @@ def _zipf_probs(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice`` builds from ``probs``: the cumulative
+    sum divided by its last entry."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_without_replacement(
+    rng: np.random.Generator, probs: np.ndarray, size: int, cdf: np.ndarray | None = None
+) -> list[int]:
+    """``rng.choice(len(probs), size, replace=False, p=probs)`` draw for draw:
+    the same doubles consumed and the same indices returned.
+
+    numpy validates ``probs`` and rebuilds its CDF on every call.  Here the
+    first CDF is ``cdf``, made once per probability vector (``_cdf``), and
+    numpy's loop runs as it does there: draw the missing count, zero the
+    weights already found, renormalise, search each draw, and keep the first
+    occurrence of each index in draw order.
+    """
+    if cdf is None:
+        cdf = _cdf(probs)
+    found: list[int] = []
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        if found:
+            rest = probs.copy()
+            rest[found] = 0.0
+            if not rest.any():
+                raise ValueError(f"fewer positive weights than {size} draws")
+            cdf = _cdf(rest)
+        # dict.fromkeys keeps first occurrences in order, like numpy's
+        # unique(return_index=True) followed by a sort of those indices
+        found += dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+    return found
+
+
 def _stop_count(rng: np.random.Generator, continue_prob: float) -> int:
     """Trials until the first stop, inclusive; mean 1/(1 - continue_prob)."""
     k = 1
@@ -261,25 +302,26 @@ def sample_attribute_set(rng: np.random.Generator, cfg: WorkloadConfig, schema: 
     """k+1 distinct attributes, k geometric over the continuation probability,
     drawn without replacement by selection probability."""
     count = min(_stop_count(rng, cfg.attr_continue_prob) + 1, cfg.n_attributes)
-    idx = rng.choice(cfg.n_attributes, size=count, replace=False, p=schema.attr_probs)
+    idx = sample_without_replacement(rng, schema.attr_probs, count, schema.attr_cdf)
     return [schema.attributes[i] for i in idx]
 
 
 def sample_category_assignment(
-    rng: np.random.Generator, cfg: WorkloadConfig, probs: np.ndarray
+    rng: np.random.Generator, cfg: WorkloadConfig, probs: np.ndarray, cdf: np.ndarray | None = None
 ) -> dict[int, MembershipLevel]:
     """Category associations for one attribute: the first draw is a member,
-    later draws alternate strong/weak connections."""
+    later draws alternate strong/weak connections.  ``cdf`` is ``_cdf(probs)``
+    when the caller keeps it."""
     count = min(_stop_count(rng, cfg.cat_continue_prob) + 1, cfg.n_categories)
-    idx = rng.choice(cfg.n_categories, size=count, replace=False, p=probs)
+    idx = sample_without_replacement(rng, probs, count, cdf)
     out: dict[int, MembershipLevel] = {}
     for pos, cat in enumerate(idx):
         if pos == 0:
-            out[int(cat)] = MembershipLevel.MEMBER
+            out[cat] = MembershipLevel.MEMBER
         elif pos % 2 == 1:
-            out[int(cat)] = MembershipLevel.STRONG
+            out[cat] = MembershipLevel.STRONG
         else:
-            out[int(cat)] = MembershipLevel.WEAK
+            out[cat] = MembershipLevel.WEAK
     return out
 
 
@@ -295,13 +337,14 @@ def build_schema(cfg: WorkloadConfig) -> WorkloadSchema:
         attr_risk[a] = "medium" if pos == 8 else "high" if pos == 9 else "low"
     categories = tuple(f"c{i:02d}" for i in range(1, cfg.n_categories + 1))
     cat_probs = _zipf_probs(cfg.n_categories, cfg.cat_zipf_exponent)
+    cat_cdf = _cdf(cat_probs)  # once for every attribute's assignment
     n_high = 1
     n_medium = min(4, max(cfg.n_categories - n_high, 0))
     category_risk = {}
     for i, c in enumerate(categories):
         category_risk[c] = "high" if i < n_high else "medium" if i < n_high + n_medium else "low"
     membership = {
-        a: {categories[ci]: lvl for ci, lvl in sample_category_assignment(rng, cfg, cat_probs).items()}
+        a: {categories[ci]: lvl for ci, lvl in sample_category_assignment(rng, cfg, cat_probs, cat_cdf).items()}
         for a in attributes
     }
     return WorkloadSchema(attributes, attr_probs, attr_risk, categories, cat_probs, category_risk, membership)
@@ -451,6 +494,8 @@ def generate_workload(cfg: WorkloadConfig, schema: WorkloadSchema | None = None)
     schema = schema or build_schema(cfg)
     rng = np.random.default_rng([cfg.rng_seed, 23])
     mech_names = sorted(cfg.mechanisms)
+    # one cost curve per (mechanism, level), shared by its requests
+    curves: dict[tuple[str, float], RDP] = {}
     rounds: list[list[ReleaseRequest]] = []
     for r in range(1, cfg.rounds + 1):
         current = month_of_round(cfg, r)
@@ -484,7 +529,9 @@ def generate_workload(cfg: WorkloadConfig, schema: WorkloadSchema | None = None)
                 else:
                     labels["data"] = ["static"]
 
-            curve = request_cost_curve(spec["family"], epsilon, cfg.delta_request)
+            curve = curves.get((name, epsilon))
+            if curve is None:
+                curve = curves[name, epsilon] = request_cost_curve(spec["family"], epsilon, cfg.delta_request)
             cost = {"user": curve}
             if cfg.scenario == "s3":
                 cost["user-month"] = curve
@@ -583,16 +630,16 @@ class _Scope:
         self._dirty = np.zeros(cfg.pa_domain_size, dtype=bool)
         self._eps = 0.0
 
-    def add(self, request: ReleaseRequest) -> None:
+    def add(self, request: ReleaseRequest, matched: frozenset[int]) -> None:
+        """Charge the request's selection with the cost of each mechanism
+        that matches the scope's predicate: ``matched`` holds their indices."""
         if self.month is not None and request.time_step != self.month:
             return
         if request.pa_selection.size == 0:
             return
         charged = False
-        for mech in request.mechanisms:
-            if not eval_predicate(self.predicate, mech.labels):
-                continue
-            cost = mech.cost_by_unit.get(self.unit)
+        for m in sorted(matched):
+            cost = request.mechanisms[m].cost_by_unit.get(self.unit)
             if cost is None:
                 continue
             self._acc.add(request.pa_selection, cost.curve)
@@ -672,6 +719,8 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
     domain = BlockDomain(("pa",), cfg.pa_domain_size, time_axis)
     point = DecisionPoint(poset, policy.per_release, domain)
     scopes = _build_scopes(cfg, schema)
+    # scopes match through their own index, never through decision.match_rules
+    scope_index = RuleIndex(scopes)
 
     reports: list[RoundReport] = []
     cumulative_utility = 0.0
@@ -686,8 +735,9 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
             decision = point.process(request, budget_scale=unlocked)
             if decision.accepted:
                 round_utility += request.utility
-                for scope in scopes:
-                    scope.add(request)
+                for scope, matched in zip(scopes, scope_index.match(request.mechanisms)):
+                    if matched:
+                        scope.add(request, matched)
         cumulative_utility += round_utility
         reports.append(
             RoundReport(

@@ -39,10 +39,8 @@ from dpwarden.workload import (
     WorkloadConfig,
     build_policy_document,
     build_schema,
-    generate_workload,
     run_scenario,
     s1_standard_epsilon,
-    sample_month,
 )
 
 EPSILON_SWEEP = (3.0, 5.0, 7.0, 10.0, 15.0, 20.0)
@@ -270,33 +268,20 @@ def test_utility_grows_with_budget(scenario_sweep):
 # Sampling statistics
 # ---------------------------------------------------------------------------
 
-def test_sampling_statistics():
-    cfg = WorkloadConfig(
-        scenario="s1", total_epsilon=10.0, rounds=20, requests_per_round=5100.0, rng_seed=1
-    )
-    reqs = [q for batch in generate_workload(cfg, build_schema(cfg)) for q in batch]
-    assert len(reqs) >= 100_000
-    reqs = reqs[:100_000]
-    mean_attrs = float(np.mean([len(q.mechanisms[0].labels.attrs) for q in reqs]))
+def test_sampling_statistics(sampling_draws):
+    # the draws are made once per session, in tests/conftest.py
+    assert sampling_draws.n_requests >= 100_000
+    assert len(sampling_draws.attr_counts) == 100_000
+    mean_attrs = float(np.mean(sampling_draws.attr_counts))
     assert mean_attrs == pytest.approx(5.0, abs=0.1)
 
-    ml = [q for q in reqs if q.mechanisms[0].labels.values("mech") & {"dpsgd", "pate"}]
-    rate = sum(q.mechanisms[0].labels.has("context", "blackbox-ml") for q in ml) / len(ml)
+    rate = float(sampling_draws.blackbox[sampling_draws.ml].mean())
     assert rate == pytest.approx(0.80, abs=0.02)
 
-    from dpwarden.workload import _zipf_probs, sample_category_assignment
-
-    cat_cfg = WorkloadConfig(scenario="s2")
-    probs = _zipf_probs(cat_cfg.n_categories, cat_cfg.cat_zipf_exponent)
-    rng = np.random.default_rng(2)
-    mean_cats = float(
-        np.mean([len(sample_category_assignment(rng, cat_cfg, probs)) for _ in range(100_000)])
-    )
+    mean_cats = float(np.mean(sampling_draws.category_counts))
     assert mean_cats == pytest.approx(3.5, abs=0.1)
 
-    s3 = WorkloadConfig(scenario="s3")
-    rng = np.random.default_rng(3)
-    draws = np.array([sample_month(rng, s3, 6) for _ in range(100_000)])
+    draws = sampling_draws.months
     assert float((draws == 6).mean()) == pytest.approx(1 / 3, abs=0.01)
     for month in range(6):
         assert float((draws == month).mean()) == pytest.approx(1 / 9, abs=0.01)

@@ -224,9 +224,10 @@ def test_calibrated_gaussian_round_trip():
 
 def test_scale_budget():
     assert scale_budget(ADP(10, 1e-7), 0.5) == ADP(5, 1e-7)
-    assert scale_budget(PureDP(2), 0.25) == PureDP(0.5)
-    assert scale_budget(ZCDP(4), 0.5) == ZCDP(2)
     assert scale_budget(gaussian_curve(0.1), 0.5) == gaussian_curve(0.05)
+    for unenforceable in (PureDP(2), ZCDP(4)):  # no rule budget has these variants
+        with pytest.raises(UnsupportedVariant):
+            scale_budget(unenforceable, 0.5)
 
 
 _N_ORDERS = len(DEFAULT_ALPHA_ORDERS)

@@ -480,6 +480,35 @@ def test_check_refuses_a_rule_set_with_a_duplicate_rule_id(check_files, tmp_path
     assert captured.out == "" and state.read_bytes() == before
 
 
+@pytest.mark.parametrize("budget", [{"kind": "zcdp", "rho": 1.0}, {"kind": "pure_dp", "epsilon": 1.0}])
+def test_compile_refuses_a_budget_no_filter_can_enforce(tmp_path, capsys, budget):
+    doc = policy_doc()
+    doc["base_policies"][0]["budget"] = budget
+    policies, rules = tmp_path / "policies.json", tmp_path / "rules.json"
+    policies.write_text(json.dumps(doc))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 2
+    assert "rule 'global'" in capsys.readouterr().err
+    assert not rules.exists()
+
+
+@pytest.mark.parametrize("section", ["rules", "per_release_rules"])
+def test_check_refuses_a_rule_set_with_a_budget_no_filter_can_enforce(check_files, tmp_path, capsys, section):
+    check, state, _ = check_files
+    rules_path = check[check.index("--rules") + 1]
+    rules = json.loads(Path(rules_path).read_text())
+    rules[section][0]["budget"] = {"kind": "zcdp", "rho": 1.0}
+    edited = tmp_path / "rules.json"
+    edited.write_text(json.dumps(rules))
+    argv = list(check)
+    argv[argv.index(rules_path)] = str(edited)
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"rule {rules[section][0]['id']!r}" in captured.err
+    assert captured.out == "" and state.read_bytes() == before
+
+
 def _monthly_files(tmp_path):
     """A compiled monthly rule set and the argv of a check at horizon 2;
     returns (check argv, request path, state path)."""

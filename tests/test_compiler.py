@@ -237,8 +237,23 @@ def test_rule_generation_errors_surface_at_parse():
     with pytest.raises(UnsupportedVariant):
         parse_policy_set(doc)
     doc["base_policies"][-1]["categories"]["c1"] = "high"
+    with pytest.raises(UnsupportedVariant):  # budget maps take ADP budgets only
+        parse_policy_set(doc)
+    doc["base_policies"][-1]["risk_budgets"]["high"] = adp(0.5)
     doc["base_policies"][-1]["level_functions"]["strong"]["clamp"] = False
     with pytest.raises(BudgetFnDomain):
+        parse_policy_set(doc)
+
+
+@pytest.mark.parametrize("budget", [{"kind": "zcdp", "rho": 1.0}, {"kind": "pure_dp", "epsilon": 1.0}])
+def test_a_rule_budget_no_filter_can_enforce_is_refused(budget):
+    doc = minimal_doc()
+    doc["base_policies"][0]["budget"] = budget
+    with pytest.raises(ValidationError, match="rule 'global'"):
+        parse_policy_set(doc)
+    doc = minimal_doc()
+    doc["per_release_policies"] = [{"name": "cap", "unit": "user", "predicate": {"op": "true"}, "budget": budget}]
+    with pytest.raises(ValidationError, match="rule 'cap'"):
         parse_policy_set(doc)
 
 
@@ -359,8 +374,11 @@ def test_map_table_interpolation_and_clamping():
 
 def test_budget_fn_variants():
     assert Scale(1.5).apply(ADP(2, 1e-7)) == ADP(3, 1e-7)
-    assert Scale(2.0).apply(ZCDP(0.1)) == ZCDP(0.2)
-    assert Scale(3.0).apply(PureDP(1)) == PureDP(3)
+    for unenforceable in (ZCDP(0.1), PureDP(1)):  # no rule budget has these variants
+        with pytest.raises(UnsupportedVariant):
+            Scale(2.0).apply(unenforceable)
+        with pytest.raises(UnsupportedVariant):
+            MapTable(S1_BUDGET_TABLE).apply(unenforceable)
     pad = (0.0,) * (len(DEFAULT_ALPHA_ORDERS) - 2)
     assert Scale(2.0).apply(RDP((0.5, 1.0) + pad)) == RDP((1.0, 2.0) + pad)
     for factor in (0.0, -1.0, float("nan")):

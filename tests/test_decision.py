@@ -18,6 +18,8 @@ from dpwarden.accounting import (
 from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import (
     ADP,
+    ATTR_KEY,
+    And,
     AttrIntersects,
     BASE_ATOMS,
     BASE_ATTRS,
@@ -25,6 +27,8 @@ from dpwarden.core import (
     HasLabel,
     LabelSet,
     Mechanism,
+    Not,
+    Or,
     OrderKey,
     PrivacyUnit,
     Provenance,
@@ -43,6 +47,7 @@ from dpwarden.decision import (
     N_ALPHA,
     DecisionPoint,
     FilterState,
+    RuleIndex,
     TimeAxis,
     check_and_commit,
     check_per_release,
@@ -51,6 +56,7 @@ from dpwarden.decision import (
 )
 from dpwarden.errors import MissingCost, UnknownTimeStep, ValidationError
 from dpwarden.poset import build_poset, prune, prune_with_report
+from dpwarden.workload import WorkloadConfig, _Scope
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import (  # noqa: E402
@@ -296,6 +302,66 @@ def test_matches_naive_single_block_engine():
             naive = NaiveEngine(rules)
             for req in trace:
                 assert point.process(req).accepted == naive.process(req)
+
+
+_label_names = st.sampled_from(["a", "b", "c"])
+_label_keys = st.sampled_from([ATTR_KEY, "context", "k"])
+# the indexed atoms, an empty attribute set among them, under And / Or / Not
+# fallbacks nested a few levels deep
+_predicates = st.recursive(
+    st.one_of(
+        st.just(TruePredicate()),
+        st.builds(HasLabel, _label_keys, _label_names),
+        st.builds(AttrIntersects, st.frozensets(_label_names, max_size=3)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(And, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(Not, inner),
+    ),
+    max_leaves=6,
+)
+_label_sets = st.dictionaries(_label_keys, st.frozensets(_label_names, max_size=3), max_size=3).map(LabelSet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(predicates=st.lists(_predicates, max_size=8), label_sets=st.lists(_label_sets, max_size=4))
+def test_rule_index_matches_flat_evaluation(predicates, label_sets):
+    """Rules and simulator scopes alike: the index finds exactly the
+    mechanisms whose labels satisfy each predicate."""
+    mechanisms = [Mechanism(labels, {}) for labels in label_sets]
+    cfg = WorkloadConfig(pa_domain_size=4, pa_range_unit=4)
+    for items in (
+        [Rule(f"r{i}", p, "user", ADP(1.0, 1e-7)) for i, p in enumerate(predicates)],
+        [_Scope(f"s{i}", p, "user", None, cfg) for i, p in enumerate(predicates)],
+    ):
+        want = [
+            frozenset(m for m, mech in enumerate(mechanisms) if item.predicate.matches(mech.labels))
+            for item in items
+        ]
+        assert RuleIndex(items).match(mechanisms) == want
+        assert match_rules(items, mechanisms) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rules=st.lists(st.tuples(_predicates, st.sampled_from([0.05, 0.1, 0.3])), min_size=1, max_size=6),
+    trace=st.lists(
+        st.lists(st.tuples(_label_sets, st.sampled_from([0.002, 0.01, 0.03])), min_size=1, max_size=3),
+        max_size=12,
+    ),
+)
+def test_indexed_decision_point_matches_naive_engine(rules, trace):
+    """Random predicates, fallbacks included, decide as the flat-evaluating
+    single-block engine does, request by request."""
+    rules = [Rule(f"r{i}", p, "user", ADP(eps, 1e-7)) for i, (p, eps) in enumerate(rules)]
+    point = DecisionPoint(rules, domain=BlockDomain((), 1))
+    naive = NaiveEngine(rules)
+    for j, mechs in enumerate(trace):
+        request = ReleaseRequest(
+            f"q{j}", tuple(Mechanism(labels, {"user": gaussian_curve(rho)}) for labels, rho in mechs), [0]
+        )
+        assert point.process(request).accepted == naive.process(request)
 
 
 def test_annotated_order_does_not_exempt_a_rule_from_its_check():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpwarden.accounting import gaussian_curve, pure_curve, rdp_epsilon, zero_curve
 from dpwarden.core import HasLabel, LabelSet, Mechanism, ReleaseRequest
+from dpwarden.decision import RuleIndex
 from dpwarden.errors import ConfigError, DPWardenError
 from dpwarden.workload import (
     DEFAULT_MECHANISMS,
@@ -21,7 +22,7 @@ from dpwarden.workload import (
     month_of_round,
     run_scenario,
     s1_standard_epsilon,
-    sample_month,
+    sample_without_replacement,
     tracked_months,
     _Scope,
 )
@@ -83,46 +84,44 @@ def test_s1_standard_epsilon_inverts_table():
     assert 1.7 < s1_standard_epsilon(4.0) < 1.8
 
 
-def test_mean_attributes_and_blackbox_rate():
-    # one large generation pass feeds both statistics
-    cfg = WorkloadConfig(
-        scenario="s1",
-        total_epsilon=10.0,
-        rounds=20,
-        requests_per_round=5100.0,
-        rng_seed=1,
-    )
-    schema = build_schema(cfg)
-    reqs = [r for batch in generate_workload(cfg, schema) for r in batch]
-    assert len(reqs) >= 100_000
-    reqs = reqs[:100_000]
-    attr_counts = [len(q.mechanisms[0].labels.attrs) for q in reqs]
-    assert np.mean(attr_counts) == pytest.approx(5.0, abs=0.1)
-
-    ml = [q for q in reqs if q.mechanisms[0].labels.values("mech") & {"dpsgd", "pate"}]
-    blackbox = [q for q in ml if q.mechanisms[0].labels.has("context", "blackbox-ml")]
-    assert len(blackbox) / len(ml) == pytest.approx(0.80, abs=0.02)
+def test_mean_attributes_and_blackbox_rate(sampling_draws):
+    # one large generation pass (tests/conftest.py) feeds both statistics
+    assert sampling_draws.n_requests >= 100_000
+    assert len(sampling_draws.attr_counts) == 100_000
+    assert np.mean(sampling_draws.attr_counts) == pytest.approx(5.0, abs=0.1)
+    blackbox_among_ml = sampling_draws.blackbox[sampling_draws.ml]
+    assert blackbox_among_ml.mean() == pytest.approx(0.80, abs=0.02)
 
 
-def test_mean_categories_per_attribute():
-    from dpwarden.workload import _zipf_probs, sample_category_assignment
-
-    cfg = WorkloadConfig(scenario="s2")
-    probs = _zipf_probs(cfg.n_categories, cfg.cat_zipf_exponent)
-    rng = np.random.default_rng(2)
-    counts = [len(sample_category_assignment(rng, cfg, probs)) for _ in range(100_000)]
-    assert np.mean(counts) == pytest.approx(3.5, abs=0.1)
+def test_mean_categories_per_attribute(sampling_draws):
+    assert np.mean(sampling_draws.category_counts) == pytest.approx(3.5, abs=0.1)
 
 
-def test_month_selection_frequencies():
-    cfg = WorkloadConfig(scenario="s3")
-    rng = np.random.default_rng(3)
+def test_month_selection_frequencies(sampling_draws):
+    draws = sampling_draws.months
     current = 6
-    draws = [sample_month(rng, cfg, current) for _ in range(100_000)]
-    counts = {m: draws.count(m) for m in set(draws)}
-    assert counts[current] / len(draws) == pytest.approx(1 / 3, abs=0.01)
+    assert float((draws == current).mean()) == pytest.approx(1 / 3, abs=0.01)
     for m in range(current - 6, current):
-        assert counts[m] / len(draws) == pytest.approx(1 / 9, abs=0.01)
+        assert float((draws == m).mean()) == pytest.approx(1 / 9, abs=0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=40)
+    .filter(lambda w: any(x > 0 for x in w)),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sampler_draws_what_numpy_choice_draws(weights, data, seed):
+    """Pinned to numpy's stream: the same indices from the same doubles, up
+    to as many draws as there are positive weights, so that repeated draws
+    send the sampler round its renormalising loop."""
+    probs = np.asarray(weights) / sum(weights)
+    size = data.draw(st.integers(0, int(np.count_nonzero(probs))))
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = numpys.choice(len(probs), size, replace=False, p=probs).tolist()
+    assert sample_without_replacement(ours, probs, size) == want
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def test_workload_determinism():
@@ -300,10 +299,13 @@ def test_incremental_scope_report_equals_full_recompute(month, steps):
     """``None`` steps are reports; several may follow one another."""
     cfg = small_cfg(pa_domain_size=_SCOPE_DOMAIN, pa_range_unit=2)
     scope = _Scope("s", HasLabel("kind", "charged"), "user", 1.0, cfg, month=month)
+    index = RuleIndex([scope])
     last = 0.0
     for step in [*steps, None]:
         if step is not None:
-            scope.add(step)
+            matched, = index.match(step.mechanisms)
+            if matched:
+                scope.add(step, matched)
             continue
         eps = scope.report().cumulative_epsilon
         assert eps == full_scope_epsilon(scope)
@@ -347,12 +349,14 @@ def test_state_and_scopes_hold_rows_only_for_charged_blocks():
     point = DecisionPoint(prune(build_poset(compile_policy_set(policy), policy.unit_graph())),
                           policy.per_release, BlockDomain(("pa",), cfg.pa_domain_size))
     scopes = _build_scopes(cfg, schema)
+    index = RuleIndex(scopes)
     accepted = 0
     for request in generate_workload(cfg, schema)[0]:
         if point.process(request).accepted:
             accepted += 1
-            for scope in scopes:
-                scope.add(request)
+            for scope, matched in zip(scopes, index.match(request.mechanisms)):
+                if matched:
+                    scope.add(request, matched)
     assert accepted >= 90
     stores = [store for per_rule in point.state._cells.values() for store in per_rule.values()]
     stores += [scope._acc for scope in scopes]
