@@ -419,11 +419,13 @@ class RuleIndex:
     def matching(self, labels: LabelSet) -> set[int]:
         """Indices of the rules whose predicate ``labels`` satisfies."""
         hits = set(self._always)
-        for key, values in labels.items():
-            by_value = self._buckets.get(key)
-            if by_value is not None:
-                for v in values:
-                    hits.update(by_value.get(v, ()))
+        buckets = self._buckets
+        if buckets:
+            for key, values in labels.items():
+                by_value = buckets.get(key)
+                if by_value is not None:
+                    for v in values:
+                        hits.update(by_value.get(v, ()))
         for i in self._fallback:
             if eval_predicate(self.rules[i].predicate, labels):
                 hits.add(i)
@@ -449,6 +451,8 @@ def check_per_release(request: ReleaseRequest, per_release_rules: RuleIndex | Se
     """Stage one: every mechanism's own cost must fit every matching
     per-release rule.  Stateless."""
     index = _as_index(per_release_rules)
+    if not index.rules:
+        return Decision(True, "per_release")
     violations = []
     for mech in request.mechanisms:
         for i in sorted(index.matching(mech.labels)):

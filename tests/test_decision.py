@@ -306,22 +306,31 @@ def test_matches_naive_single_block_engine():
 
 _label_names = st.sampled_from(["a", "b", "c"])
 _label_keys = st.sampled_from([ATTR_KEY, "context", "k"])
-# the indexed atoms, an empty attribute set among them, under And / Or / Not
-# fallbacks nested a few levels deep
-_predicates = st.recursive(
-    st.one_of(
-        st.just(TruePredicate()),
-        st.builds(HasLabel, _label_keys, _label_names),
-        st.builds(AttrIntersects, st.frozensets(_label_names, max_size=3)),
-    ),
-    lambda inner: st.one_of(
-        st.builds(And, st.lists(inner, max_size=3).map(tuple)),
-        st.builds(Or, st.lists(inner, max_size=3).map(tuple)),
-        st.builds(Not, inner),
-    ),
-    max_leaves=6,
+# the indexed atoms, an empty attribute set among them, alone or under
+# And / Or / Not fallbacks nested a few levels deep
+_atoms = st.one_of(
+    st.just(TruePredicate()),
+    st.builds(HasLabel, _label_keys, _label_names),
+    st.builds(AttrIntersects, st.frozensets(_label_names, max_size=3)),
 )
-_label_sets = st.dictionaries(_label_keys, st.frozensets(_label_names, max_size=3), max_size=3).map(LabelSet)
+_predicates = st.one_of(
+    _atoms,
+    st.recursive(
+        _atoms,
+        lambda inner: st.one_of(
+            st.builds(And, st.lists(inner, max_size=3).map(tuple)),
+            st.builds(Or, st.lists(inner, max_size=3).map(tuple)),
+            st.builds(Not, inner),
+        ),
+        max_leaves=6,
+    ),
+)
+# an empty attribute set leaves the attr key out
+_label_sets = st.builds(
+    lambda attrs, others: LabelSet({ATTR_KEY: attrs, **others}),
+    st.frozensets(_label_names, max_size=3),
+    st.dictionaries(st.sampled_from(["context", "k"]), st.frozensets(_label_names, max_size=3), max_size=2),
+)
 
 
 @settings(max_examples=300, deadline=None)
