@@ -719,7 +719,8 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
     domain = BlockDomain(("pa",), cfg.pa_domain_size, time_axis)
     point = DecisionPoint(poset, policy.per_release, domain)
     scopes = _build_scopes(cfg, schema)
-    # scopes match through their own index, never through decision.match_rules
+    # scopes match through their own index, not decision.match_rules, which
+    # belongs to the decision point's own check
     scope_index = RuleIndex(scopes)
 
     reports: list[RoundReport] = []

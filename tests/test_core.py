@@ -81,6 +81,19 @@ def test_a_name_with_a_trailing_newline_is_refused(build):
         build()
 
 
+def test_the_name_memo_takes_exact_strings_only():
+    class LooksValid(str):
+        def __eq__(self, other):
+            return True
+
+        def __hash__(self):
+            return hash("v")
+
+    HasLabel("k", "v")  # "v" is now remembered as valid
+    with pytest.raises(ValidationError):
+        HasLabel("k", LooksValid("has space"))
+
+
 def test_budget_leq_examples():
     assert budget_leq(ADP(3, 1e-7), ADP(3, 1e-7))
     assert not budget_leq(ADP(5, 1e-7), ADP(3, 1e-7))
