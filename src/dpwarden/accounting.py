@@ -20,6 +20,7 @@ from .core import (
     PrivacyUnit,
     PureDP,
     RDP,
+    Rule,
     ZCDP,
 )
 from .errors import (
@@ -120,6 +121,22 @@ def within_budget(curves, budget: PrivacyBudget) -> np.ndarray:
     if isinstance(budget, RDP):
         return (_curve_rows(curves) <= budget.curve).any(axis=-1)
     raise VariantMismatch(f"filter budgets must be ADP or RDP, got {type(budget).__name__}")
+
+
+def check_enforceable(rules: Iterable[Rule]) -> None:
+    """Refuse a rule whose budget no filter can enforce: filters check
+    composed RDP curves against an RDP budget, or against an ADP budget
+    with delta > 0, the only deltas RDP converts to.  Extensions map ADP to
+    ADP at the same delta and scale RDP to RDP, so checking the rules a
+    document generates also covers the rules compiled from them."""
+    for rule in rules:
+        if not isinstance(rule.budget, (ADP, RDP)):
+            raise ValidationError(
+                f"rule {rule.rule_id!r}: a budget must be ADP or RDP to be enforced, "
+                f"got {type(rule.budget).__name__}"
+            )
+        if isinstance(rule.budget, ADP) and rule.budget.delta == 0.0:
+            raise ValidationError(f"rule {rule.rule_id!r}: an ADP budget needs delta > 0 to be enforced")
 
 
 def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:

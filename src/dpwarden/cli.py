@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .compiler import check_enforceable, compile_policy_set, parse_policy_set
+from .compiler import compile_policy_set, parse_policy_set
 from .core import DEFAULT_ALPHA_ORDERS, ReleaseRequest, Rule, UnitGraph
 from .decision import BlockDomain, DecisionPoint, FilterState, TimeAxis
 from .errors import DPWardenError, ParseError, ValidationError, reading
@@ -54,7 +54,7 @@ def _read_json(path: str, what: str):
 
 def _load_rules(path: str) -> tuple[list[Rule], list[Rule]]:
     """The active rules and the per-release rules of a compiled rule set,
-    both read and checked inside the document boundary."""
+    read and checked against the file's format tag, alpha orders and units."""
     with reading("rule set"):
         doc = json.loads(Path(path).read_text())
         if doc.get("format") != RULES_FORMAT:
@@ -64,17 +64,9 @@ def _load_rules(path: str) -> tuple[list[Rule], list[Rule]]:
         units = UnitGraph.from_dicts(doc["units"])
         rules = [Rule.from_dict(d) for d in doc["rules"]]
         per_release = [Rule.from_dict(d) for d in doc.get("per_release_rules", ())]
-        ids: set[str] = set()
-        for rule in rules:
-            # rule ids key the filter state: two rules under one id would
-            # share an accumulator, each charged for the other's releases
-            if rule.rule_id in ids:
-                raise ValidationError(f"duplicate rule id {rule.rule_id!r}")
-            ids.add(rule.rule_id)
         for rule in rules + per_release:
             if rule.unit not in units:
                 raise ValidationError(f"rule {rule.rule_id!r} uses undeclared unit {rule.unit!r}")
-        check_enforceable(rules + per_release)
         return rules, per_release
 
 

@@ -14,9 +14,9 @@ import bisect
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .accounting import scale_budget
+from .accounting import check_enforceable, scale_budget
 from .core import (
     ADP,
     And,
@@ -29,7 +29,6 @@ from .core import (
     Predicate,
     PrivacyBudget,
     Provenance,
-    RDP,
     Rule,
     TruePredicate,
     UnitGraph,
@@ -336,19 +335,6 @@ def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
             )
         check_enforceable(base + per_release)
         return PolicySet(units, tuple(base), exts, tuple(per_release))
-
-
-def check_enforceable(rules: Iterable[Rule]) -> None:
-    """Refuse a rule whose budget no filter can enforce: filters check
-    composed RDP curves against an ADP or an RDP budget only.  Extensions
-    map ADP to ADP and scale RDP to RDP, so checking the rules a document
-    generates also covers the rules compiled from them."""
-    for rule in rules:
-        if not isinstance(rule.budget, (ADP, RDP)):
-            raise ValidationError(
-                f"rule {rule.rule_id!r}: a budget must be ADP or RDP to be enforced, "
-                f"got {type(rule.budget).__name__}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,17 @@ def _check_name(value: str, what: str) -> str:
     return value
 
 
+def read_count(value, name: str) -> int:
+    """An integer field of a document.  ``int()`` would also read 2048.9 as
+    2048, true as 1 and "64" as 64."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Privacy budgets
 # ---------------------------------------------------------------------------
@@ -173,10 +184,11 @@ class PrivacyUnit:
     def __post_init__(self):
         _check_name(self.name, "unit name")
         object.__setattr__(self, "ord_above", frozenset(self.ord_above))
-        factors = dict(self.group_factor_to)
-        for tgt, k in factors.items():
+        factors = {}
+        for tgt, k in self.group_factor_to.items():
             _check_name(tgt, "unit name")
-            if not isinstance(k, int) or k < 1:
+            factors[tgt] = k = read_count(k, f"group factor {self.name}->{tgt}")
+            if k < 1:
                 raise ValidationError(f"group factor {self.name}->{tgt} must be a positive integer")
         object.__setattr__(self, "group_factor_to", factors)
 
@@ -251,7 +263,7 @@ class UnitGraph:
             PrivacyUnit(
                 d["name"],
                 frozenset(d.get("above", ())),
-                {k: int(v) for k, v in d.get("group_factor_to", {}).items()},
+                d.get("group_factor_to", {}),
             )
             for d in dicts
         )
@@ -268,7 +280,7 @@ class LabelSet:
     deployment context under ``context``.  Arbitrary custom keys are allowed.
     """
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, Iterable[str]] | None = None):
         data: dict[str, frozenset[str]] = {}
@@ -280,7 +292,6 @@ class LabelSet:
             if vs:
                 data[key] = vs
         self._entries = data
-        self._hash = hash(frozenset(data.items()))
 
     def values(self, key: str) -> frozenset[str]:
         return self._entries.get(key, frozenset())
@@ -302,7 +313,8 @@ class LabelSet:
         return isinstance(other, LabelSet) and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return self._hash
+        # on demand: requests build label sets that nothing hashes
+        return hash(frozenset(self._entries.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={sorted(v)}" for k, v in sorted(self._entries.items()))
@@ -572,6 +584,17 @@ class Rule:
         )
 
 
+def check_unique_ids(rules: Iterable[Rule]) -> None:
+    """Refuse two rules under one id.  Rule ids key the filter state: two
+    rules under one id would share an accumulator, each charged for the
+    other's releases."""
+    ids: set[str] = set()
+    for rule in rules:
+        if rule.rule_id in ids:
+            raise ValidationError(f"duplicate rule id {rule.rule_id!r}")
+        ids.add(rule.rule_id)
+
+
 # ---------------------------------------------------------------------------
 # Release requests
 # ---------------------------------------------------------------------------
@@ -671,15 +694,19 @@ class ReleaseRequest:
         with reading("release request"):
             sel = d.get("pa_selection", [])
             if isinstance(sel, Mapping):
-                sel = expand_block_range(
-                    operator.index(sel["start"]), operator.index(sel["length"]), domain_size
-                )
+                start = read_count(sel["start"], "interval start")
+                length = read_count(sel["length"], "interval length")
+                if length < 0:
+                    raise ValidationError(f"interval length must be >= 0, got {length}")
+                if domain_size is not None and not 0 <= start < domain_size:
+                    raise ValidationError(f"interval start must lie in [0, {domain_size}), got {start}")
+                sel = expand_block_range(start, length, domain_size)
             ts = d.get("time_step")
             return cls(
                 d["request_id"],
                 tuple(Mechanism.from_dict(m) for m in d.get("mechanisms", ())),
                 sel,
-                None if ts is None else operator.index(ts),
+                None if ts is None else read_count(ts, "time step"),
                 float(d.get("utility", 0.0)),
             )
 

@@ -1,22 +1,25 @@
 """Stateful two-stage policy decision point.
 
 Stage one checks per-release rules statelessly.  Stage two finds every
-active rule whose predicate a mechanism satisfies, through a ``RuleIndex``
-built once per rule set, and runs an RDP privacy filter for every (block,
-time-cell) a request touches.  The rule poset is a compile-time structure
-for pruning and DOT export; it plays no part here.  Commits are
-all-or-nothing: a rejected request leaves the filter state untouched.
+active rule whose predicate a mechanism satisfies, through a ``RuleIndex``,
+and runs an RDP privacy filter for every (block, time-cell) a request
+touches.  ``DecisionPoint`` is the one place that turns a rule set into an
+index, and it validates the set there, before any state exists: one active
+rule per id, as ids key the filter state, and only budgets a filter can
+check.  The free functions of each stage take that index.  The rule poset
+is a compile-time structure for pruning and DOT export; it plays no part
+here.  Commits are all-or-nothing: a rejected request leaves the filter
+state untouched.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .accounting import rdp_epsilon, scale_budget, within_budget
+from .accounting import check_enforceable, rdp_epsilon, scale_budget, within_budget
 from .core import (
     ADP,
     ATTR_KEY,
@@ -29,7 +32,9 @@ from .core import (
     ReleaseRequest,
     Rule,
     TruePredicate,
+    check_unique_ids,
     eval_predicate,
+    read_count,
 )
 from .errors import MissingCost, UnknownTimeStep, ValidationError, reading
 
@@ -103,24 +108,13 @@ class BlockDomain:
         ta = d.get("time_axis")
         return cls(
             tuple(d.get("partitioning_attributes", ())),
-            _read_count(d.get("domain_size", 1), "domain_size"),
+            read_count(d.get("domain_size", 1), "domain_size"),
             TimeAxis(
                 ta["unit"],
-                _read_count(ta["granular_window"], "granular_window"),
-                _read_count(ta.get("horizon", 0), "horizon"),
+                read_count(ta["granular_window"], "granular_window"),
+                read_count(ta.get("horizon", 0), "horizon"),
             ) if ta else None,
         )
-
-
-def _read_count(value, name: str) -> int:
-    """An integer field of a state document.  ``int()`` would also read
-    2048.9 as 2048, true as 1 and "64" as 64."""
-    if isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 class BlockRows:
@@ -320,7 +314,7 @@ class FilterState:
                 raise ValidationError(f"unknown state keys: {sorted(unknown)}")
             state = cls(BlockDomain.from_dict(d["domain"]))
             horizon = state.now  # a fresh state starts at the horizon, or at 0
-            state.now = _read_count(d.get("now", horizon), "now")
+            state.now = read_count(d.get("now", horizon), "now")
             if state.now < horizon:
                 raise ValidationError(f"state time step {state.now} is behind the horizon {horizon}")
             addressable = {CELL_STATIC}
@@ -440,17 +434,9 @@ class RuleIndex:
         return [frozenset(per_rule[i]) if i in per_rule else _NO_MECHANISMS for i in range(len(self.rules))]
 
 
-def _as_index(rules) -> RuleIndex:
-    """An index over a rule sequence, or over the ``rules`` of a poset."""
-    if isinstance(rules, RuleIndex):
-        return rules
-    return RuleIndex(getattr(rules, "rules", rules))
-
-
-def check_per_release(request: ReleaseRequest, per_release_rules: RuleIndex | Sequence[Rule]) -> Decision:
+def check_per_release(request: ReleaseRequest, index: RuleIndex) -> Decision:
     """Stage one: every mechanism's own cost must fit every matching
     per-release rule.  Stateless."""
-    index = _as_index(per_release_rules)
     if not index.rules:
         return Decision(True, "per_release")
     violations = []
@@ -470,26 +456,24 @@ def check_per_release(request: ReleaseRequest, per_release_rules: RuleIndex | Se
     return Decision(True, "per_release")
 
 
-def match_rules(rules: RuleIndex | Sequence[Rule], mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
-    """Mechanism indices matching each rule, in rule order.
+def match_rules(index: RuleIndex, mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
+    """Mechanism indices matching each rule of ``index``, in rule order.
 
     Every rule is matched on its own predicate; order keys are not trusted
     here, as an admin annotation may place a rule below another whose
     predicate it does not imply.
     """
-    return _as_index(rules).match(mechanisms)
+    return index.match(mechanisms)
 
 
 def check_and_commit(
     state: FilterState,
     request: ReleaseRequest,
-    rules: RuleIndex | Sequence[Rule],
+    index: RuleIndex,
     budget_scale: float = 1.0,
 ) -> Decision:
-    """Stage two: cumulative check of every matching rule on every touched
-    (block, time-cell), then an atomic commit on acceptance.  ``rules`` is
-    best a ``RuleIndex`` built once; a rule sequence or a poset is indexed
-    on each call."""
+    """Stage two: cumulative check of every matching rule of ``index`` on
+    every touched (block, time-cell), then an atomic commit on acceptance."""
     # an unlock fraction may only shrink budgets; NaN would void them
     if not 0.0 <= budget_scale <= 1.0:
         raise ValidationError(f"budget scale must lie in [0, 1], got {budget_scale!r}")
@@ -500,7 +484,6 @@ def check_and_commit(
             f"of {state.domain.domain_size} blocks"
         )
 
-    index = _as_index(rules)
     for mech in request.mechanisms:
         missing = index.tracked_units.difference(mech.cost_by_unit)
         if missing:
@@ -547,10 +530,10 @@ def check_and_commit(
     return Decision(True, "accepted")
 
 
-def headroom(state: FilterState, rules: RuleIndex | Sequence[Rule], budget_scale: float = 1.0) -> dict[str, dict]:
+def headroom(state: FilterState, index: RuleIndex, budget_scale: float = 1.0) -> dict[str, dict]:
     """Per-rule consumed-vs-budget summary over all blocks and cells."""
     out: dict[str, dict] = {}
-    for rule in getattr(rules, "rules", rules):
+    for rule in index.rules:
         budget = scale_budget(rule.budget, budget_scale)
         # the zero row that stands for uncharged blocks moves no max or min:
         # epsilon and utilization only grow with the accumulator
@@ -583,14 +566,17 @@ class DecisionPoint:
 
     def __init__(
         self,
-        rules: RuleIndex | Sequence[Rule],
+        rules: Sequence[Rule],
         per_release_rules: Sequence[Rule] = (),
         domain: BlockDomain | None = None,
     ):
-        """``rules`` are the active rules: a sequence, an index, or the
-        pruned poset that holds them."""
-        self.index = _as_index(rules)
+        """``rules`` are the active rules: a sequence, or the pruned poset
+        that holds them.  The rule set is checked before any state exists:
+        active rule ids must be unique, and every budget enforceable."""
+        self.index = RuleIndex(getattr(rules, "rules", rules))
         self.per_release = RuleIndex(per_release_rules)
+        check_unique_ids(self.index.rules)
+        check_enforceable(self.index.rules + self.per_release.rules)
         self.state = FilterState(domain or BlockDomain())
 
     @property

@@ -26,6 +26,7 @@ from .core import (
     UnitGraph,
     budget_leq,
     budget_to_dict,
+    check_unique_ids,
     conjunction_atoms,
 )
 from .errors import IncomparableKeys, UnsupportedVariant, ValidationError, VariantMismatch
@@ -103,14 +104,9 @@ class RulePoset:
 
 def build_poset(rules: Sequence[Rule], units: UnitGraph) -> RulePoset:
     """Compute the order relation with memoized base-key comparisons."""
+    check_unique_ids(rules)
     keys: list[OrderKey] = []
-    ids: set[str] = set()
     for r in rules:
-        # rule ids key the filter state: two rules under one id would share
-        # an accumulator, each charged for the other's releases
-        if r.rule_id in ids:
-            raise ValidationError(f"duplicate rule id {r.rule_id!r}")
-        ids.add(r.rule_id)
         if r.order_key is None:
             raise ValidationError(f"rule {r.rule_id!r} has no order key")
         if r.order_key.unit not in units:

@@ -463,6 +463,28 @@ def test_check_refuses_curves_off_the_alpha_orders(check_files, tmp_path, capsys
     assert state.read_bytes() == before
 
 
+@pytest.mark.parametrize("fields", [
+    {"pa_selection": {"start": 0, "length": -5}},
+    {"pa_selection": {"start": 4, "length": 2}},
+    {"pa_selection": {"start": True, "length": 2}},
+    {"time_step": True},
+])
+def test_check_refuses_a_request_count_that_is_not_a_count(check_files, capsys, fields):
+    """A negative length read as an empty selection would release with no
+    charge; a start outside the domain or a bool would address blocks or a
+    time step the request never named."""
+    check, state, request = check_files
+    doc = request_doc(0.5)
+    doc.update(fields)
+    request.write_text(json.dumps(doc))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(check) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert state.read_bytes() == before
+
+
 def test_check_refuses_a_rule_set_with_a_duplicate_rule_id(check_files, tmp_path, capsys):
     check, state, _ = check_files
     rules_path = check[check.index("--rules") + 1]
@@ -480,7 +502,8 @@ def test_check_refuses_a_rule_set_with_a_duplicate_rule_id(check_files, tmp_path
     assert captured.out == "" and state.read_bytes() == before
 
 
-@pytest.mark.parametrize("budget", [{"kind": "zcdp", "rho": 1.0}, {"kind": "pure_dp", "epsilon": 1.0}])
+@pytest.mark.parametrize("budget", [{"kind": "zcdp", "rho": 1.0}, {"kind": "pure_dp", "epsilon": 1.0},
+                                    {"kind": "adp", "epsilon": 1.0, "delta": 0.0}])
 def test_compile_refuses_a_budget_no_filter_can_enforce(tmp_path, capsys, budget):
     doc = policy_doc()
     doc["base_policies"][0]["budget"] = budget
@@ -491,12 +514,18 @@ def test_compile_refuses_a_budget_no_filter_can_enforce(tmp_path, capsys, budget
     assert not rules.exists()
 
 
-@pytest.mark.parametrize("section", ["rules", "per_release_rules"])
-def test_check_refuses_a_rule_set_with_a_budget_no_filter_can_enforce(check_files, tmp_path, capsys, section):
+@pytest.mark.parametrize("section, budget", [
+    pytest.param(section, budget, id=section + suffix)
+    for suffix, budget in [("", {"kind": "zcdp", "rho": 1.0}),
+                           ("-adp_delta_0", {"kind": "adp", "epsilon": 1.0, "delta": 0.0})]
+    for section in ("rules", "per_release_rules")
+])
+def test_check_refuses_a_rule_set_with_a_budget_no_filter_can_enforce(check_files, tmp_path, capsys, section,
+                                                                      budget):
     check, state, _ = check_files
     rules_path = check[check.index("--rules") + 1]
     rules = json.loads(Path(rules_path).read_text())
-    rules[section][0]["budget"] = {"kind": "zcdp", "rho": 1.0}
+    rules[section][0]["budget"] = budget
     edited = tmp_path / "rules.json"
     edited.write_text(json.dumps(rules))
     argv = list(check)

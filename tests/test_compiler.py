@@ -245,7 +245,8 @@ def test_rule_generation_errors_surface_at_parse():
         parse_policy_set(doc)
 
 
-@pytest.mark.parametrize("budget", [{"kind": "zcdp", "rho": 1.0}, {"kind": "pure_dp", "epsilon": 1.0}])
+@pytest.mark.parametrize("budget", [{"kind": "zcdp", "rho": 1.0}, {"kind": "pure_dp", "epsilon": 1.0},
+                                    {"kind": "adp", "epsilon": 1.0, "delta": 0.0}])
 def test_a_rule_budget_no_filter_can_enforce_is_refused(budget):
     doc = minimal_doc()
     doc["base_policies"][0]["budget"] = budget

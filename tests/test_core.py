@@ -68,6 +68,13 @@ def test_label_charset_rejected():
         LabelSet({"k": ["has space"]})
 
 
+def test_equal_label_sets_hash_equal():
+    a = LabelSet({"attr": ["a1", "a2"], "context": ["standard"]})
+    b = LabelSet({"context": ("standard",), "attr": {"a2", "a1"}, "empty": []})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, LabelSet({"attr": ["a1"]})}) == 2
+
+
 @pytest.mark.parametrize("build", [
     lambda: LabelSet({"k\n": ["v"]}),
     lambda: LabelSet({"k": ["v\n"]}),
@@ -256,6 +263,15 @@ def test_group_factor_one_implies_cover_order():
     assert units.leq("user-month", "user")
 
 
+@pytest.mark.parametrize("factor", [1.9, True, "1"])
+def test_group_factor_in_a_unit_document_must_be_an_integer(factor):
+    """A factor read as 1 would add a cover edge, and so a pruning witness,
+    that the document never declared."""
+    doc = [{"name": "user", "group_factor_to": {"user-month": factor}}, {"name": "user-month"}]
+    with pytest.raises(ValidationError, match="group factor user->user-month"):
+        UnitGraph.from_dicts(doc)
+
+
 def test_unit_graph_unknown_reference():
     with pytest.raises(ValidationError):
         UnitGraph([PrivacyUnit("a", ord_above=frozenset({"ghost"}))])
@@ -328,6 +344,12 @@ _CURVE = {"user": {"kind": "rdp", "curve": list(_padded(0.1, 0.2))}}
         {"time_step": -1},
         {"time_step": [1]},
         {"mechanisms": 3},
+        {"time_step": True},
+        {"pa_selection": {"start": True, "length": 2}},
+        {"pa_selection": {"start": 0, "length": True}},
+        {"pa_selection": {"start": 0, "length": -5}},
+        {"pa_selection": {"start": -1, "length": 2}},
+        {"pa_selection": {"start": 4, "length": 2}},
     ],
 )
 def test_malformed_request_fails_closed(fields):

@@ -32,11 +32,13 @@ from dpwarden.core import (
     OrderKey,
     PrivacyUnit,
     Provenance,
+    PureDP,
     RDP,
     ReleaseRequest,
     Rule,
     TruePredicate,
     UnitGraph,
+    ZCDP,
 )
 from dpwarden.decision import (
     BlockDomain,
@@ -88,14 +90,14 @@ def _rule(rule_id, predicate, attrs_key, eps, unit="user"):
 
 def test_per_release_no_rules_accepts():
     req = ReleaseRequest("q", (_mech({"attr": ["a1"]}, gaussian_curve(0.01)),), (0,))
-    assert check_per_release(req, []).accepted
+    assert check_per_release(req, RuleIndex([])).accepted
 
 
 def test_per_release_rejects_over_budget_mechanism():
     cost = gaussian_curve(calibrate_gaussian_rho(0.75, 1e-7))
     rule = Rule("cap", TruePredicate(), "user", ADP(0.5, 1e-7), Provenance("pr", 0))
     req = ReleaseRequest("q", (_mech({"attr": ["a1"]}, cost),), (0,))
-    decision = check_per_release(req, [rule])
+    decision = check_per_release(req, RuleIndex([rule]))
     assert not decision.accepted
     assert decision.violations[0].rule_id == "cap"
 
@@ -105,14 +107,32 @@ def test_per_release_predicate_scoping():
     rule = Rule("std_cap", HasLabel("context", "standard"), "user", ADP(0.5, 1e-7),
                 Provenance("pr", 0))
     req = ReleaseRequest("q", (_mech({"context": ["blackbox-ml"]}, cost),), (0,))
-    assert check_per_release(req, [rule]).accepted
+    assert check_per_release(req, RuleIndex([rule])).accepted
 
 
 def test_per_release_missing_cost():
     rule = Rule("cap", TruePredicate(), "user-month", ADP(0.5, 1e-7), Provenance("pr", 0))
     req = ReleaseRequest("q", (_mech({"attr": ["a1"]}, gaussian_curve(0.01)),), (0,))
     with pytest.raises(MissingCost):
-        check_per_release(req, [rule])
+        check_per_release(req, RuleIndex([rule]))
+
+
+def test_decision_point_refuses_two_active_rules_under_one_id():
+    """Rule ids key the filter state, so a second rule under one id would
+    overwrite the first one's rows at each commit and void its budget."""
+    strict = _rule("r1", TruePredicate(), set(), 1.0)
+    loose = _rule("r1", HasLabel("context", "standard"), set(), 50.0)
+    with pytest.raises(ValidationError, match="duplicate rule id 'r1'"):
+        DecisionPoint([strict, loose], domain=BlockDomain((), 1))
+
+
+@pytest.mark.parametrize("stage", ["active", "per_release"])
+@pytest.mark.parametrize("budget", [ZCDP(1.0), PureDP(1.0), ADP(1.0, 0.0)], ids=["zcdp", "pure_dp", "adp_delta_0"])
+def test_decision_point_refuses_a_budget_no_filter_can_enforce(stage, budget):
+    rule = Rule("cap", TruePredicate(), "user", budget)
+    rules, per_release = ([rule], []) if stage == "active" else ([], [rule])
+    with pytest.raises(ValidationError, match="rule 'cap'"):
+        DecisionPoint(rules, per_release, BlockDomain((), 1))
 
 
 def _monthly_point(budget_eps=3.0, window=7, horizon=6, blocks=8):
@@ -271,7 +291,7 @@ def test_poset_skipping_matches_direct_evaluation():
         poset = build_poset(rules, units)
         reqs = random_trace(rng, units, max_requests=5)
         for req in reqs:
-            got = match_rules(poset, req.mechanisms)
+            got = match_rules(RuleIndex(poset.rules), req.mechanisms)
             for i, rule in enumerate(poset.rules):
                 direct = frozenset(
                     m for m, mech in enumerate(req.mechanisms)
@@ -349,7 +369,6 @@ def test_rule_index_matches_flat_evaluation(predicates, label_sets):
             for item in items
         ]
         assert RuleIndex(items).match(mechanisms) == want
-        assert match_rules(items, mechanisms) == want
 
 
 @settings(max_examples=150, deadline=None)

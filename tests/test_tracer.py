@@ -1,23 +1,27 @@
 """The benchmark's per-layer tracer (``perfbench/tracer.py``) still finds
-every layer it wraps, and its scope-row count reads the simulator's scopes."""
+every layer it wraps, its scope-row count reads the simulator's scopes, and
+its state-size metric (``perfbench/passes.py``) reads the decision point."""
 
 import importlib.util
 from pathlib import Path
 
 import dpwarden.cli  # noqa: F401  (the tracer wraps cli.main too)
+from dpwarden.accounting import gaussian_curve
+from dpwarden.core import ADP, LabelSet, Mechanism, ReleaseRequest, Rule, TruePredicate
+from dpwarden.decision import BlockDomain, DecisionPoint
 from dpwarden.workload import WorkloadConfig, run_scenario
 
 
-def _tracer_module():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_finds_every_layer_and_counts_scope_rows():
-    tracer_module = _tracer_module()
+    tracer_module = _perfbench_module("tracer")
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
@@ -29,3 +33,13 @@ def test_tracer_finds_every_layer_and_counts_scope_rows():
         tracer.uninstall()
     assert absent == {}
     assert values["workload.scope_rows"] > 0
+
+
+def test_state_metric_reads_the_decision_point():
+    """``measure_state`` turns an ``AttributeError`` into an absent metric,
+    so a decision point of another shape would read 0 MB unnoticed."""
+    point = DecisionPoint([Rule("r", TruePredicate(), "user", ADP(10.0, 1e-7))], domain=BlockDomain((), 64))
+    mech = Mechanism(LabelSet({"attr": ["a1"]}), {"user": gaussian_curve(0.01)})
+    for k in range(3):
+        assert point.process(ReleaseRequest(f"q{k}", (mech,), range(k, 64, 3))).accepted
+    assert _perfbench_module("passes").state_mb(point) > 0
