@@ -47,9 +47,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_json(path: str, what: str):
+def _read_json(path: str, what: str, decode=json.loads):
     with reading(what):
-        return json.loads(Path(path).read_text())
+        return decode(Path(path).read_text())
 
 
 def _load_rules(path: str) -> tuple[list[Rule], list[Rule]]:
@@ -77,14 +77,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     state_path = Path(args.state)
     if state_path.exists():
-        point.state = FilterState.from_dict(_read_json(args.state, "state"))
+        point.state = _read_json(args.state, "state", FilterState.from_json)
 
     request = ReleaseRequest.from_dict(
         _read_json(args.request, "release request"), domain_size=point.state.domain.domain_size
     )
     decision = point.process(request, args.scale)
     if decision.accepted:  # before any output: a failed write prints no verdict
-        state_path.write_text(json.dumps(point.state.to_dict()))
+        state_path.write_text(point.state.to_json())
     result = decision.to_dict()
     result["headroom"] = point.headroom(args.scale)
     print(json.dumps(result, indent=2))
@@ -92,9 +92,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_advance(args: argparse.Namespace) -> int:
-    state = FilterState.from_dict(_read_json(args.state, "state"))
+    state = _read_json(args.state, "state", FilterState.from_json)
     state.collapse_time(args.to)
-    Path(args.state).write_text(json.dumps(state.to_dict()))
+    Path(args.state).write_text(state.to_json())
     print(f"advanced {args.state} to time step {state.now}")
     return 0
 

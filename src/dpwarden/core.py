@@ -7,6 +7,7 @@ field names.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -55,6 +56,14 @@ def read_count(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def read_real(value, name: str) -> float:
+    """A finite real field of a document.  ``float()`` would also read
+    "0.5" as 0.5, true as 1 and "inf" as infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +680,12 @@ class ReleaseRequest:
         sel = sel[keep]
         sel.flags.writeable = False
         object.__setattr__(self, "pa_selection", sel)
-        if self.time_step is not None and self.time_step < 0:
-            raise ValidationError("time step must be >= 0")
-        if not self.utility >= 0:
+        if self.time_step is not None:
+            object.__setattr__(self, "time_step", read_count(self.time_step, "time step"))
+            if self.time_step < 0:
+                raise ValidationError("time step must be >= 0")
+        object.__setattr__(self, "utility", read_real(self.utility, "utility"))
+        if self.utility < 0:
             raise ValidationError("utility must be non-negative")
 
     def to_dict(self) -> dict:
@@ -701,13 +713,12 @@ class ReleaseRequest:
                 if domain_size is not None and not 0 <= start < domain_size:
                     raise ValidationError(f"interval start must lie in [0, {domain_size}), got {start}")
                 sel = expand_block_range(start, length, domain_size)
-            ts = d.get("time_step")
             return cls(
                 d["request_id"],
                 tuple(Mechanism.from_dict(m) for m in d.get("mechanisms", ())),
                 sel,
-                None if ts is None else read_count(ts, "time step"),
-                float(d.get("utility", 0.0)),
+                d.get("time_step"),
+                d.get("utility", 0.0),
             )
 
 

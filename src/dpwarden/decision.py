@@ -9,11 +9,14 @@ rule per id, as ids key the filter state, and only budgets a filter can
 check.  The free functions of each stage take that index.  The rule poset
 is a compile-time structure for pruning and DOT export; it plays no part
 here.  Commits are all-or-nothing: a rejected request leaves the filter
-state untouched.
+state untouched.  ``FilterState.to_json``/``from_json`` are the state file's
+text form, the one the CLI reads and writes.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -293,18 +296,57 @@ class FilterState:
 
     # -- serialization --------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        cells: dict[str, dict[str, dict]] = {}
+    def _held(self) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray]]]:
+        """Per rule and cell, the blocks holding a nonzero row and those rows;
+        rules and cells without one are left out."""
+        held: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
         for rid, per_rule in self._cells.items():
-            out_rule: dict[str, dict] = {}
             for cell, store in per_rule.items():
                 blocks, rows = store.nonzero()
-                if blocks.size == 0:
-                    continue
-                out_rule[cell] = {"blocks": blocks.tolist(), "curves": rows.tolist()}
-            if out_rule:
-                cells[rid] = out_rule
+                if blocks.size:
+                    held.setdefault(rid, {})[cell] = (blocks, rows)
+        return held
+
+    def to_dict(self) -> dict:
+        cells = {
+            rid: {
+                cell: {"blocks": blocks.tolist(), "curves": rows.tolist()}
+                for cell, (blocks, rows) in per_rule.items()
+            }
+            for rid, per_rule in self._held().items()
+        }
         return {"now": self.now, "domain": self.domain.to_dict(), "cells": cells}
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, encoding each distinct row of a
+        cell once: charged blocks share few distinct curves."""
+        rules = []
+        for rid, per_rule in self._held().items():
+            cells = []
+            for cell, (blocks, rows) in per_rule.items():
+                # keyed by raw bytes, so -0.0 and 0.0 stay apart as in repr
+                keys = rows.view(np.dtype((np.void, rows.itemsize * N_ALPHA))).ravel()
+                _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+                # a row holds 14 numbers, so "], [" falls only between rows
+                bodies = json.dumps(rows[first].tolist())[2:-2].split("], [")
+                curves = "], [".join([bodies[i] for i in inverse.tolist()])
+                blocks = json.dumps(blocks.tolist())
+                cells.append(f'{json.dumps(cell)}: {{"blocks": {blocks}, "curves": [[{curves}]]}}')
+            rules.append(f"{json.dumps(rid)}: {{{', '.join(cells)}}}")
+        return (
+            f'{{"now": {json.dumps(self.now)}, "domain": {json.dumps(self.domain.to_dict())}, '
+            f'"cells": {{{", ".join(rules)}}}}}'
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "FilterState":
+        """The state that ``from_dict(json.loads(text))`` reads, parsing each
+        distinct row of the text that ``to_json`` writes once."""
+        with reading("state"):
+            doc = _canonical_state_doc(text)
+            if doc is None:
+                doc = json.loads(text)
+        return cls.from_dict(doc)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FilterState":
@@ -346,6 +388,56 @@ class FilterState:
                         )
                     state.ensure(rid, cell).put(blocks, curves)
         return state
+
+
+# a "curves" array of number rows; quotes, escapes and words end a match
+_CURVES = re.compile(r'"curves": (\[[-+.0-9eE, \[\]]*\])')
+
+
+def _canonical_state_doc(text: str) -> dict | None:
+    """``json.loads(text)``, with each cell's curves as the float array that
+    ``from_dict`` reads, when ``text`` is ``json.dumps`` of a state document;
+    ``None`` for any other text.
+
+    Each "curves" array is cut out of the text, and the rest, the skeleton,
+    parsed.  The result is taken only when re-encoding the skeleton gives it
+    back exactly, and there are as many cuts as cells, each with its curves
+    cut out.  As a cut leaves ``"curves": []`` and every such text is cut,
+    the cuts are then the cells' curves, in document order.  A cut's distinct
+    rows are parsed in one ``json.loads`` and taken when they read as one row
+    per row text; re-encoding them would cost as much as ``to_json``.
+    """
+    parts = _CURVES.split(text)
+    arrays = parts[1::2]
+    if not arrays:
+        return None
+    skeleton = '"curves": []'.join(parts[0::2])
+    try:
+        doc = json.loads(skeleton)
+        payloads = [payload for per_rule in doc["cells"].values() for payload in per_rule.values()]
+        if (
+            json.dumps(doc) != skeleton
+            or len(payloads) != len(arrays)
+            or any(payload["curves"] != [] for payload in payloads)
+        ):
+            return None
+        for payload, array in zip(payloads, arrays):
+            if array == "[]":
+                continue
+            if not (array.startswith("[[") and array.endswith("]]")):
+                return None
+            # the array is "[[" + "], [".join(row bodies) + "]]"
+            bodies = array[2:-2].split("], [")
+            ids = {body: i for i, body in enumerate(dict.fromkeys(bodies))}
+            rows = json.loads(f"[[{'], ['.join(ids)}]]")
+            # one row per body: if the rows are flat, as from_dict requires,
+            # no body holds a bracket, so each body is one row of the array
+            if len(rows) != len(ids):
+                return None
+            payload["curves"] = np.array(rows, dtype=float)[list(map(ids.__getitem__, bodies))]
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
+        return None
+    return doc
 
 
 @dataclass(frozen=True)

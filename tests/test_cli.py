@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -7,7 +8,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpwarden.accounting import calibrate_gaussian_rho, gaussian_curve
 from dpwarden.cli import main
+from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import DEFAULT_ALPHA_ORDERS
+from dpwarden.decision import BlockDomain, DecisionPoint
+from dpwarden.poset import build_poset, prune
+from dpwarden.workload import WorkloadConfig, build_policy_document, build_schema, generate_workload
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import (  # noqa: E402
@@ -597,3 +602,79 @@ def test_advance_refuses_and_leaves_the_state(tmp_path, capsys, setup):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("utility", ["0.5", True, "inf", float("inf")])
+def test_check_refuses_a_utility_that_is_not_a_finite_number(check_files, capsys, utility):
+    """``float()`` would read "0.5", true and "inf" as numbers."""
+    check, state, request = check_files
+    doc = request_doc(0.1)
+    doc["utility"] = utility
+    request.write_text(json.dumps(doc))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(check) == 2
+    captured = capsys.readouterr()
+    assert "utility must be a finite number" in captured.err and captured.out == ""
+    assert state.read_bytes() == before
+
+
+@pytest.fixture(scope="module")
+def desk_stream(tmp_path_factory):
+    """A desk s1 stream (ε 20, seed 0) taken through ``dpwarden check`` and an
+    in-process ``DecisionPoint`` alike; returns (check argv, state path, point)."""
+    root = tmp_path_factory.mktemp("desk")
+    cfg = WorkloadConfig.desk_scale("s1", 20.0, 0)
+    document = build_policy_document(cfg, build_schema(cfg))
+    policies, rules, state, request = (root / n for n in ("policies.json", "rules.json", "state.json", "req.json"))
+    policies.write_text(json.dumps(document))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    policy = parse_policy_set(document)
+    point = DecisionPoint(prune(build_poset(compile_policy_set(policy), policy.unit_graph())), policy.per_release,
+                          BlockDomain((), cfg.pa_domain_size))
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", str(cfg.pa_domain_size)]
+    verdicts = []
+    for q in sorted(generate_workload(cfg)[0], key=lambda q: -q.utility)[:12]:
+        request.write_text(json.dumps(q.to_dict()))
+        rc = main(check)
+        assert rc in (0, 1)
+        verdicts.append((rc == 0, point.process(q).accepted))
+    assert all(cli == in_process for cli, in_process in verdicts)
+    assert sum(cli for cli, _ in verdicts) >= 2
+    return check, state, point
+
+
+def test_check_writes_the_state_as_json_dumps_of_to_dict(desk_stream):
+    """The benchmark hashes the state file's bytes: they must stay those of
+    ``json.dumps(FilterState.to_dict())``."""
+    _, state, point = desk_stream
+    assert state.read_bytes() == json.dumps(point.state.to_dict()).encode()
+
+
+def _row_of_13_values(text):
+    return re.sub(r'("curves": \[\[[^\]]*), [^,\]]+\]', r"\1]", text, count=1)
+
+
+def _row_holding_1e400(text):
+    return re.sub(r'("curves": \[\[)[^,\]]+', r"\g<1>1e400", text, count=1)
+
+
+def _block_listed_twice(text):
+    return re.sub(r'("blocks": \[(\d+)), \d+', r"\1, \2", text, count=1)
+
+
+@pytest.mark.parametrize("edit", [_row_of_13_values, _row_holding_1e400, _block_listed_twice])
+def test_check_refuses_a_canonical_looking_state_that_is_malformed(desk_stream, tmp_path, capsys, edit):
+    check, state, _ = desk_stream
+    edited = edit(state.read_text())
+    assert edited != state.read_text()
+    bad_state = tmp_path / "state.json"
+    bad_state.write_text(edited)
+    argv = list(check)
+    argv[argv.index(str(state))] = str(bad_state)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err and captured.out == ""
+    assert bad_state.read_text() == edited

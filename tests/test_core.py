@@ -315,6 +315,25 @@ def test_selection_array_is_a_private_copy():
     assert request.pa_selection.tolist() == [1, 2, 3]
 
 
+@pytest.mark.parametrize("step", [True, 1.5, "1", np.float64(1.0), -1])
+def test_request_time_step_is_a_count_in_process_too(step):
+    """A step of 1.5 kept as 1.5 would address no granular cell and be
+    charged to the historical interval."""
+    with pytest.raises(ValidationError):
+        ReleaseRequest("q", (), (0,), step)
+
+
+@pytest.mark.parametrize("utility", [True, "0.5", float("inf"), float("nan")])
+def test_request_utility_is_a_finite_number_in_process_too(utility):
+    with pytest.raises(ValidationError):
+        ReleaseRequest("q", (), (0,), None, utility)
+
+
+def test_request_time_step_is_held_as_an_int():
+    step = ReleaseRequest("q", (), (0,), np.int64(2)).time_step
+    assert step == 2 and type(step) is int
+
+
 _CURVE = {"user": {"kind": "rdp", "curve": list(_padded(0.1, 0.2))}}
 
 
@@ -339,6 +358,11 @@ _CURVE = {"user": {"kind": "rdp", "curve": list(_padded(0.1, 0.2))}}
         {"utility": float("nan")},
         {"utility": "high"},
         {"utility": -1.0},
+        {"utility": "0.5"},
+        {"utility": True},
+        {"utility": "inf"},
+        {"utility": float("inf")},
+        {"utility": None},
         {"time_step": "x"},
         {"time_step": 1.5},
         {"time_step": -1},

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -586,6 +587,141 @@ def test_headroom_reports_consumption():
     assert room["budget_epsilon"] == pytest.approx(3.0)
     assert room["consumed_epsilon"] == pytest.approx(2.0, abs=1e-6)
     assert room["headroom_epsilon"] == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The state file codec against json.dumps / json.loads
+# ---------------------------------------------------------------------------
+
+_CODEC_DOMAIN = 8
+# integral floats, the smallest subnormal, a huge value, and -0.0 beside 0.0
+_codec_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 5e-324, 1e300, 0.1, 1e-05]),
+    st.floats(0.0, 10.0),
+)
+_codec_rows = st.lists(_codec_values, min_size=N_ALPHA, max_size=N_ALPHA)
+# rule ids that JSON escapes, or that end in "curves" like the key the decoder cuts at
+_codec_rule_ids = st.sampled_from(["r", "r2", "curves", 'x"curves', "é", "a\\b"])
+
+
+@st.composite
+def _codec_states(draw):
+    timed = draw(st.booleans())
+    axis = TimeAxis("m", 2, 3) if timed else None
+    state = FilterState(BlockDomain(("pa",), _CODEC_DOMAIN, axis))
+    cells = [CELL_HIST, CELL_FUTURE, step_cell(2), step_cell(3)] if timed else [CELL_STATIC]
+    pool = draw(st.lists(_codec_rows, min_size=1, max_size=3))  # few rows, so rows repeat
+    for rid in draw(st.lists(_codec_rule_ids, max_size=3, unique=True)):
+        for cell in draw(st.lists(st.sampled_from(cells), max_size=len(cells), unique=True)):
+            blocks = draw(st.lists(st.integers(0, _CODEC_DOMAIN - 1), max_size=_CODEC_DOMAIN, unique=True))
+            rows = [draw(st.one_of(st.sampled_from(pool), _codec_rows)) for _ in blocks]
+            if blocks:
+                state.ensure(rid, cell).put(np.array(blocks), np.array(rows))
+    return state
+
+
+def _integral_as_int(doc):
+    """The document with every integral float of its curves written as an int."""
+    for per_rule in doc["cells"].values():
+        for payload in per_rule.values():
+            payload["curves"] = [[int(v) if v.is_integer() else v for v in row] for row in payload["curves"]]
+    return doc
+
+
+def _duplicate_first_cell(doc):
+    """``json.dumps(doc)`` with its first cell listed twice, another payload
+    first; ``json.loads`` keeps the last."""
+    text = json.dumps(doc)
+    if not doc["cells"]:
+        return text
+    rid, per_rule = next(iter(doc["cells"].items()))
+    head = f'"cells": {{{json.dumps(rid)}: {{'
+    decoy = {"blocks": [0], "curves": [[1.0] * N_ALPHA]}
+    return text.replace(head, f"{head}{json.dumps(next(iter(per_rule)))}: {json.dumps(decoy)}, ", 1)
+
+
+def _loads_alike(text):
+    """``from_json`` reads what ``from_dict(json.loads(...))`` reads, or
+    refuses what it refuses."""
+    try:
+        expected = FilterState.from_dict(json.loads(text))
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            FilterState.from_json(text)
+        return
+    assert json.dumps(FilterState.from_json(text).to_dict()) == json.dumps(expected.to_dict())
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=_codec_states())
+def test_state_codec_matches_json(state):
+    text = state.to_json()
+    assert text == json.dumps(state.to_dict())
+    doc = state.to_dict()
+    for variant in (
+        text,
+        json.dumps(doc, indent=2),
+        json.dumps(_integral_as_int(state.to_dict())),
+        re.sub(r"(\d)e([-+]?\d)", r"\1E\2", text),
+        _duplicate_first_cell(doc),
+    ):
+        _loads_alike(variant)
+    assert FilterState.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("value", ["NaN", "1e400", "Infinity"])
+def test_state_codec_refuses_a_non_finite_curve_on_both_paths(value):
+    state = FilterState(BlockDomain(("pa",), 4))
+    state.ensure("r", CELL_STATIC).put(np.array([0, 2]), np.array([_ROW, _ROW]))
+    text = state.to_json()
+    first = json.dumps(_ROW[0])
+    assert text.count(first) >= 2
+    bad = text.replace(first, value, 1)
+    with pytest.raises(ValidationError):
+        FilterState.from_dict(json.loads(bad))
+    with pytest.raises(ValidationError):
+        FilterState.from_json(bad)
+
+
+def _one_cell_text(curves='[[1.5, 2.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]',
+                   domain_extra="", cell_extra="", blocks="[1]"):
+    return (
+        f'{{"now": 0, "domain": {{"partitioning_attributes": ["pa"], "domain_size": 4{domain_extra}}}, '
+        f'"cells": {{"r": {{{cell_extra}"static": {{"blocks": {blocks}, "curves": {curves}}}}}}}}}'
+    )
+
+
+_ANOTHER_ROW = '[[2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]'
+
+
+@pytest.mark.parametrize("text", [
+    _one_cell_text(),
+    # a "curves" array outside the cells: the domain's loader ignores it
+    _one_cell_text(domain_extra=f', "curves": {_ANOTHER_ROW}'),
+    # the same, with the cell's own curves spaced so that no cut finds them
+    _one_cell_text(domain_extra=f', "curves": {_ANOTHER_ROW}').replace('"curves": [[1.5', '"curves" : [[1.5'),
+    # a cell's curves listed twice: json.loads keeps the later, spaced and empty
+    _one_cell_text(curves=_ANOTHER_ROW + ', "curves" : []'),
+    # a cell whose curves no cut can take, beside a cut elsewhere
+    _one_cell_text(curves=_ANOTHER_ROW.replace("2.0", "NaN", 1), domain_extra=f', "curves": {_ANOTHER_ROW}'),
+    # a cell listed twice: json.loads keeps the later, spaced copy
+    _one_cell_text(cell_extra=f'"static": {{"blocks": [1], "curves": {_ANOTHER_ROW}}}, ')
+    .replace('"curves": [[1.5', '"curves" : [[1.5'),
+    # one row of 14 values written flat: no row per block
+    _one_cell_text(curves="[" + ", ".join(map(str, range(10, 24))) + "]"),
+    _one_cell_text(curves="[[1.5, 2.5]]"),
+    # three rows, the first two joined without a space: not one row per ", "
+    _one_cell_text(curves=f"[{_ANOTHER_ROW[1:-1]},{_ANOTHER_ROW[1:-1]}, {_ANOTHER_ROW[1:-1]}]", blocks="[0, 1, 2]"),
+])
+def test_state_codec_reads_a_text_as_json_loads_does(text):
+    _loads_alike(text)
+
+
+def test_state_codec_of_an_empty_state():
+    state = FilterState(BlockDomain(("pa",), 4, TimeAxis("m", 2, 1)))
+    state.ensure("r", CELL_STATIC)  # a store without a charged block is left out
+    assert state.to_json() == json.dumps(state.to_dict())
+    assert FilterState.from_json(state.to_json()).to_dict() == state.to_dict()
 
 
 # ---------------------------------------------------------------------------
