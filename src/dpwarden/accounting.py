@@ -1,7 +1,11 @@
 """Privacy-loss arithmetic: composition, variant conversion, group privacy,
 Gaussian calibration across units, and filter checks.
 
-All functions are pure and safe for unrestricted parallel use.
+All functions are pure and safe for unrestricted parallel use.  The two
+numerical solvers are private pure-Python ports of scipy's, kept operation
+for operation so that every float matches what scipy returns: ``_brentq``
+(Brent's root finder) calibrates Gaussian noise, and ``_fminbound`` (Brent's
+bounded minimiser) refines the tight zCDP conversion.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     ADP,
@@ -24,6 +27,7 @@ from .core import (
     ZCDP,
 )
 from .errors import (
+    DPWardenError,
     DeltaOverflow,
     NoConversionPath,
     UnsupportedVariant,
@@ -144,10 +148,11 @@ def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:
 
     ``closed_form`` uses rho + 2*sqrt(rho*ln(1/delta)).  ``tight_numeric``
     minimises rho*a + ln(1/delta)/(a-1) + ln(1 - 1/a) over a dense grid of
-    orders a > 1 with local refinement; it never exceeds the closed form.
+    orders a > 1, refined by ``_fminbound`` between the grid neighbours of
+    the best order; it never exceeds the closed form.
     """
-    if rho < 0:
-        raise ValidationError("rho must be non-negative")
+    if not 0.0 <= rho < math.inf:
+        raise ValidationError("rho must be finite and non-negative")
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
     ln1d = math.log(1.0 / delta)
@@ -169,8 +174,7 @@ def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:
     i = int(np.argmin(vals))
     lo_b = grid[max(i - 1, 0)]
     hi_b = grid[min(i + 1, len(grid) - 1)]
-    res = optimize.minimize_scalar(f, bounds=(lo_b, hi_b), method="bounded")
-    eps = min(float(vals[i]), float(res.fun))
+    eps = min(float(vals[i]), _fminbound(f, float(lo_b), float(hi_b)))
     return ADP(max(eps, 0.0), delta)
 
 
@@ -260,14 +264,131 @@ def _calibrate_cached(epsilon: float, delta: float) -> float:
     hi = 1.0
     while gap(hi) < 0:
         hi *= 2.0
-    return float(optimize.brentq(gap, 0.0, hi, xtol=1e-15, rtol=1e-14))
+    if hi == math.inf:
+        raise ValidationError(f"epsilon {epsilon} is too large to calibrate")
+    return _brentq(gap, 0.0, hi, xtol=1e-15, rtol=1e-14)
 
 
 def calibrate_gaussian_rho(epsilon: float, delta: float) -> float:
     """Find rho so the Gaussian curve rho*alpha converts to the target epsilon
-    at the given delta over the alpha orders."""
-    if epsilon < 0:
-        raise ValidationError("epsilon must be non-negative")
+    at the given delta over the alpha orders (root found by ``_brentq``)."""
+    if not 0.0 <= epsilon < math.inf:
+        raise ValidationError("epsilon must be finite and non-negative")
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
     return _calibrate_cached(float(epsilon), float(delta))
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign, by
+    Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4).  Ported operation for operation from scipy's C ``brentq``
+    (``scipy/optimize/Zeros/brentq.c``), so it returns the float that
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)`` does."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep xcur the best point, xblk across the root
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # C's MIN
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise DPWardenError(f"no root found in {maxiter} iterations")
+
+
+def _fminbound(f, a: float, b: float, xatol: float = 1e-5, maxfun: int = 500) -> float:
+    """The least value of ``f`` found on [a, b] by Brent's bounded minimiser
+    (Brent 1973, ch. 5): golden-section steps with parabolic interpolation.
+    Ported operation for operation from scipy's
+    ``scipy.optimize._optimize._minimize_scalar_bounded``, so it returns the
+    float that ``minimize_scalar(f, bounds=(a, b), method="bounded").fun``
+    does.  As there, ``xf`` is the best point, ``nfc`` the next best and
+    ``fulc`` the one before it."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)  # np.sign, 1 at 0
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return fx

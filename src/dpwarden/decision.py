@@ -381,12 +381,15 @@ class FilterState:
                         raise ValidationError(
                             f"state cell {rid}/{cell}: blocks must be integers in [0, {n}), each listed once"
                         )
+                    if curves.shape == (0,):
+                        curves = curves.reshape(0, N_ALPHA)  # `"curves": []` lists no rows
                     if curves.shape != (blocks.size, N_ALPHA) or not ((curves >= 0) & (curves < np.inf)).all():
                         raise ValidationError(
                             f"state cell {rid}/{cell}: curves must be one row of {N_ALPHA} "
                             f"finite, non-negative values per block"
                         )
-                    state.ensure(rid, cell).put(blocks, curves)
+                    if blocks.size:  # a cell that holds no charge gets no store
+                        state.ensure(rid, cell).put(blocks, curves)
         return state
 
 

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +42,7 @@ from dpwarden.errors import (
     ValidationError,
     VariantMismatch,
 )
+from dpwarden.workload import WorkloadConfig
 
 
 def test_compose_rdp_empty_and_identity():
@@ -222,6 +228,24 @@ def test_calibrated_gaussian_round_trip():
             assert rdp_to_adp(gaussian_curve(rho), delta).epsilon == pytest.approx(eps, rel=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_calibration_and_conversion_refuse_non_finite_input(value):
+    with pytest.raises(ValidationError):
+        calibrate_gaussian_rho(value, 1e-7)
+    with pytest.raises(ValidationError):
+        calibrate_gaussian_rho(1.0, value)
+    for mode in ("tight_numeric", "closed_form"):
+        with pytest.raises(ValidationError):
+            zcdp_to_adp(value, 1e-7, mode)
+        with pytest.raises(ValidationError):
+            zcdp_to_adp(1.0, value, mode)
+
+
+def test_calibration_refuses_an_epsilon_no_finite_rho_reaches():
+    with pytest.raises(ValidationError):
+        calibrate_gaussian_rho(1.7e308, 1e-7)
+
+
 def test_scale_budget():
     assert scale_budget(ADP(10, 1e-7), 0.5) == ADP(5, 1e-7)
     assert scale_budget(gaussian_curve(0.1), 0.5) == gaussian_curve(0.05)
@@ -266,3 +290,85 @@ def test_kernel_rejects_other_variants_and_orders():
         RDP((1.0,))
     with pytest.raises(ValidationError):
         rdp_epsilon(rows, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The in-house Brent solvers against scipy's, the reference implementation
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def optimize():
+    return pytest.importorskip("scipy.optimize")
+
+
+def _scipy_rho(optimize, epsilon, delta):
+    """``calibrate_gaussian_rho`` with ``scipy.optimize.brentq`` as the root finder."""
+    if epsilon <= rdp_to_adp(zero_curve(), delta).epsilon:
+        return 0.0
+
+    def gap(rho):
+        return rdp_to_adp(gaussian_curve(rho), delta).epsilon - epsilon
+
+    hi = 1.0
+    while gap(hi) < 0:
+        hi *= 2.0
+    return float(optimize.brentq(gap, 0.0, hi, xtol=1e-15, rtol=1e-14))
+
+
+def _scipy_tight_epsilon(optimize, rho, delta):
+    """``zcdp_to_adp(rho, delta, "tight_numeric").epsilon`` refined by
+    ``scipy.optimize.minimize_scalar(method="bounded")``."""
+    ln1d = math.log(1.0 / delta)
+    hi = max(6.0, math.log10(math.sqrt(ln1d / rho)) + 1.0)
+    grid = 1.0 + np.logspace(-6.0, hi, 10_000)
+    vals = rho * grid + ln1d / (grid - 1.0) + np.log1p(-1.0 / grid)
+    i = int(np.argmin(vals))
+    res = optimize.minimize_scalar(
+        lambda a: rho * a + ln1d / (a - 1.0) + math.log1p(-1.0 / a),
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+        method="bounded",
+    )
+    return max(min(float(vals[i]), float(res.fun)), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=300.0), st.floats(min_value=1e-12, max_value=0.1))
+def test_calibration_equals_scipy_brentq(optimize, epsilon, delta):
+    assert calibrate_gaussian_rho(epsilon, delta) == _scipy_rho(optimize, epsilon, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=1e-6, max_value=100.0),
+    st.floats(min_value=1e-12, max_value=0.4),
+)
+def test_tight_conversion_equals_scipy_minimize_scalar(optimize, rho, delta):
+    assert zcdp_to_adp(rho, delta, "tight_numeric").epsilon == _scipy_tight_epsilon(optimize, rho, delta)
+
+
+def test_calibration_equals_scipy_on_every_configured_level(optimize):
+    pairs = {
+        (float(level), cfg.delta_request)
+        for cfg in (WorkloadConfig.desk_scale("s2", 10.0), WorkloadConfig.paper_scale("s2", 10.0))
+        for spec in cfg.mechanisms.values()
+        if spec["family"] == "gaussian"
+        for level in spec["levels"]
+    }
+    assert pairs
+    for epsilon, delta in sorted(pairs):
+        assert calibrate_gaussian_rho(epsilon, delta) == _scipy_rho(optimize, epsilon, delta)
+
+
+def test_the_engine_runs_without_importing_scipy():
+    """Run in a fresh interpreter, since other tests import scipy here."""
+    script = (
+        "import sys\n"
+        "import dpwarden, dpwarden.cli\n"
+        "from dpwarden.workload import WorkloadConfig, run_scenario\n"
+        "run_scenario(WorkloadConfig.desk_scale('s2', 10.0), 'dpolicy')\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -519,11 +519,25 @@ def test_state_load_places_each_curve_at_its_block():
         ([0], [_ROW, _ROW]),                # more curves than blocks
         ([True, 2], [_ROW, _ROW]),          # numpy reads a bool among ints as 0 or 1
         ([1, 1], [_ROW, [2 * c for c in _ROW]]),  # a duplicate would keep the last curve
+        ([], [_ROW]),                       # a curve without a block
+        ([], [[]]),                         # an empty row without a block
+        ([[]], []),                         # no block, but not listed flat
     ],
 )
 def test_state_load_fails_closed(blocks, curves):
     with pytest.raises(ValidationError):
         FilterState.from_dict(json.loads(json.dumps(_state_doc(blocks, curves))))
+
+
+@pytest.mark.parametrize("charged", [False, True])
+def test_state_load_reads_an_empty_cell_as_no_charge(charged):
+    doc = _state_doc([], [])
+    if charged:  # beside a charged cell, so the text has a "curves" array to cut
+        doc["cells"]["r2"] = {"static": {"blocks": [1], "curves": [_ROW]}}
+    text = json.dumps(doc)
+    for state in (FilterState.from_dict(json.loads(text)), FilterState.from_json(text)):
+        assert state.array("r", CELL_STATIC) is None  # no store, so none is written back
+        assert list(state.to_dict()["cells"]) == (["r2"] if charged else [])
 
 
 @pytest.mark.parametrize(
