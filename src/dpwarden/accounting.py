@@ -149,15 +149,17 @@ def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:
     ``closed_form`` uses rho + 2*sqrt(rho*ln(1/delta)).  ``tight_numeric``
     minimises rho*a + ln(1/delta)/(a-1) + ln(1 - 1/a) over a dense grid of
     orders a > 1, refined by ``_fminbound`` between the grid neighbours of
-    the best order; it never exceeds the closed form.
+    the best order, and never exceeds the closed form: past rho of about
+    1e13 the optimum order lies below the grid's lowest, 1 + 1e-6.
     """
     if not 0.0 <= rho < math.inf:
         raise ValidationError("rho must be finite and non-negative")
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
     ln1d = math.log(1.0 / delta)
+    closed = rho + 2.0 * math.sqrt(rho * ln1d)
     if mode == "closed_form":
-        return ADP(rho + 2.0 * math.sqrt(rho * ln1d), delta)
+        return ADP(closed, delta)
     if mode != "tight_numeric":
         raise ValidationError(f"unknown conversion mode {mode!r}")
     if rho == 0.0:
@@ -167,14 +169,17 @@ def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:
         return rho * alpha + ln1d / (alpha - 1.0) + math.log1p(-1.0 / alpha)
 
     # Log grid over alpha - 1; widen the top end when the unconstrained
-    # optimum 1 + sqrt(ln(1/delta)/rho) would fall outside it.
-    hi = max(6.0, math.log10(math.sqrt(ln1d / rho)) + 1.0)
-    grid = 1.0 + np.logspace(-6.0, hi, 10_000)
-    vals = rho * grid + ln1d / (grid - 1.0) + np.log1p(-1.0 / grid)
+    # optimum 1 + sqrt(ln(1/delta)/rho) would fall outside it.  The ratio
+    # overflows for a subnormal rho, so the top is capped below 1e308, well
+    # above any optimum; for a huge rho, rho * a overflows to inf.
+    hi = min(max(6.0, math.log10(math.sqrt(ln1d / rho)) + 1.0), 300.0)
+    with np.errstate(over="ignore"):
+        grid = 1.0 + np.logspace(-6.0, hi, 10_000)
+        vals = rho * grid + ln1d / (grid - 1.0) + np.log1p(-1.0 / grid)
     i = int(np.argmin(vals))
     lo_b = grid[max(i - 1, 0)]
     hi_b = grid[min(i + 1, len(grid) - 1)]
-    eps = min(float(vals[i]), _fminbound(f, float(lo_b), float(hi_b)))
+    eps = min(float(vals[i]), _fminbound(f, float(lo_b), float(hi_b)), closed)
     return ADP(max(eps, 0.0), delta)
 
 

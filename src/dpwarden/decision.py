@@ -9,8 +9,14 @@ rule per id, as ids key the filter state, and only budgets a filter can
 check.  The free functions of each stage take that index.  The rule poset
 is a compile-time structure for pruning and DOT export; it plays no part
 here.  Commits are all-or-nothing: a rejected request leaves the filter
-state untouched.  ``FilterState.to_json``/``from_json`` are the state file's
-text form, the one the CLI reads and writes.
+state untouched.
+
+Each (rule, time cell) filter keeps its RDP rows in a ``BlockRows`` store,
+one row per class of blocks charged alike: releases charge whole block
+ranges, so a check composes and tests one row per class its selection
+meets, not one per block.  ``FilterState.to_json``/``from_json`` are the
+state file's text form, the one the CLI reads and writes; they encode and
+parse each class row once.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from .core import (
     ADP,
     ATTR_KEY,
     DEFAULT_ALPHA_ORDERS,
+    And,
     AttrIntersects,
     HasLabel,
     LabelSet,
     Mechanism,
+    Predicate,
     RDP,
     ReleaseRequest,
     Rule,
@@ -120,19 +128,30 @@ class BlockDomain:
         )
 
 
+# a selection that crosses at most this many runs of one class is grouped in
+# a Python loop; past it, sorting the runs costs about what the loop does,
+# and far less at the hundreds of runs of a wide selection
+_FEW_RUNS = 8
+
+
 class BlockRows:
-    """RDP accumulator rows over a block domain, held only for the blocks
-    charged so far: the store of one (rule, time cell) filter, or of one
+    """RDP accumulator rows over a block domain, one per class of blocks that
+    were charged alike: the store of one (rule, time cell) filter, or of one
     simulator scope.
 
-    ``index`` maps every block of the domain to a slot of ``rows``.  Slot 0
-    is a permanent zero row that stands for every uncharged block, so
+    ``index`` maps every block of the domain to the slot of its class in
+    ``rows``, and ``size`` counts the blocks of each class.  Slot 0 is a
+    permanent zero row, the class of every uncharged block, so
     ``rows[index[blocks]]`` reads what a dense ``(domain_size, N_ALPHA)``
-    array would.  Capacity doubles as blocks are charged, but never past one
-    row per block plus the zero row, and the rows past ``held`` stay zero.
+    array would.  A charge composes one row per class its selection meets: a
+    class it covers wholly keeps its slot, and the part it covers of any
+    other class splits off into a new one.  So no class is ever empty, and a
+    store holds at most one row per charged block plus the zero row.
+    Capacity doubles as classes are made, never past that bound, and the
+    rows past ``held`` stay zero.
     """
 
-    __slots__ = ("index", "rows", "held")
+    __slots__ = ("index", "rows", "size", "held")
 
     def __init__(self, domain_size: int):
         try:
@@ -140,6 +159,8 @@ class BlockRows:
         except MemoryError:
             raise ValidationError(f"a domain of {domain_size} blocks is too large to index") from None
         self.rows = np.zeros((min(16, domain_size + 1), N_ALPHA))
+        self.size = np.zeros(len(self.rows), dtype=np.intp)
+        self.size[0] = domain_size
         self.held = 1
 
     @property
@@ -149,78 +170,210 @@ class BlockRows:
 
     @property
     def nbytes(self) -> int:
-        """Bytes allocated: the block index plus the row capacity."""
-        return self.index.nbytes + self.rows.nbytes
+        """Bytes allocated: the block index plus the class capacity."""
+        return self.index.nbytes + self.rows.nbytes + self.size.nbytes
 
-    def gather(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slot of each block, and a copy of the rows it reads."""
+    def gather(self, blocks: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """The classes that the distinct ``blocks`` fall in, and a copy of
+        their rows, one per class, for ``put`` to take back.
+
+        Blocks charged alike lie in runs of one slot along a sorted
+        selection, so the classes are grouped from the runs: in a loop when
+        there are few, as for narrow selections, and by sorting them when
+        there are many.  The grouping is ``(slots, counts, runs)``: the slot
+        of each class, its number of blocks, and the runs: ``None`` for one,
+        ``(start, end, class)`` for each of a few, or the slot and the
+        length of each of many.
+        """
         idx = self.index[blocks]
-        return idx, self.rows[idx]
+        n = len(idx)
+        last = (idx[1:] != idx[:-1]).nonzero()[0]  # the last block of each run but the final one
+        if not last.size:
+            if not n:
+                return ([], [], None), self.rows[:0].copy()
+            slot = int(idx[0])
+            return ([slot], [n], None), self.rows[slot : slot + 1].copy()
+        if last.size < _FEW_RUNS:
+            position: dict[int, int] = {}
+            slots: list[int] = []
+            counts: list[int] = []
+            runs = []
+            start = 0
+            for end in [*(last + 1).tolist(), n]:
+                slot = int(idx[start])
+                k = position.get(slot)
+                if k is None:
+                    k = position[slot] = len(slots)
+                    slots.append(slot)
+                    counts.append(end - start)
+                else:
+                    counts[k] += end - start
+                runs.append((start, end, k))
+                start = end
+            return (slots, counts, runs), self.rows.take(slots, axis=0)
+        # np.unique over the runs, spelled out, as its overhead is a few times this
+        starts = np.empty(last.size + 1, dtype=np.intp)
+        starts[0] = 0
+        np.add(last, 1, out=starts[1:])
+        lengths = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+        lengths[-1] = n - starts[-1]
+        run_slots = idx[starts]
+        order = run_slots.argsort()
+        ordered = run_slots[order]
+        first = np.empty(len(starts), dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        at = first.nonzero()[0]
+        slots = ordered[at]
+        return (slots, np.add.reduceat(lengths[order], at), (run_slots, lengths)), self.rows.take(slots, axis=0)
 
-    def put(self, blocks: np.ndarray, rows: np.ndarray, idx: np.ndarray | None = None) -> None:
-        """Set the rows of the distinct ``blocks``.  ``idx``, the slots that
-        ``gather`` returned for them, saves reading the index again."""
-        idx = self._slots(blocks, idx)
-        self.rows[idx] = rows
+    def put(self, blocks: np.ndarray, rows: np.ndarray, classes: tuple | None = None) -> None:
+        """Set the rows of the distinct ``blocks``: with ``classes`` from
+        ``gather``, ``rows`` holds one row per class; without, one per block,
+        and blocks given rows with equal bytes make one class.
 
-    def add(self, blocks: np.ndarray, curve) -> None:
-        """Add ``curve`` to the row of each of the distinct ``blocks``."""
-        idx = self._slots(blocks)
-        self.rows[idx] += curve
+        A class the blocks cover wholly keeps its slot; the covered part of
+        any other moves to a new class.
+        """
+        if classes is None:
+            # keyed by raw bytes, so -0.0 and 0.0 stay apart
+            keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * N_ALPHA))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            self._regroup(blocks, inverse, rows[first])
+            return
+        slots, counts, runs = classes
+        if runs is None:  # one class, or none
+            if not slots:
+                return
+            slot, count = slots[0], counts[0]
+            if slot and count == self.size[slot]:
+                self.rows[slot : slot + 1] = rows
+                return
+            fresh = self._reserve(1)
+            self.size[slot] -= count
+            self.size[fresh] = count
+            self.rows[fresh : fresh + 1] = rows
+            self.index[blocks] = fresh
+        elif isinstance(runs, list):
+            size = self.size
+            split = [not slot or count != size[slot] for slot, count in zip(slots, counts)]
+            moved = sum(split)
+            if not moved:
+                self.rows[slots] = rows
+                return
+            fresh = self._reserve(moved)
+            size = self.size
+            target = []
+            for slot, count, away in zip(slots, counts, split):
+                if away:
+                    size[slot] -= count
+                    size[fresh] = count
+                    slot = fresh
+                    fresh += 1
+                target.append(slot)
+            self.rows[target] = rows
+            for start, end, k in runs:
+                if split[k]:
+                    self.index[blocks[start:end]] = target[k]
+        else:
+            split = (counts != self.size[slots]) | (slots == 0)
+            moved = np.count_nonzero(split)
+            if not moved:
+                self.rows[slots] = rows
+                return
+            fresh = self._reserve(moved)
+            target = slots.copy()
+            target[split] = np.arange(fresh, self.held)
+            self.size[slots[split]] -= counts[split]
+            self.size[fresh : self.held] = counts[split]
+            self.rows[target] = rows
+            run_slots, lengths = runs
+            self.index[blocks] = np.repeat(target[np.searchsorted(slots, run_slots)], lengths)
+
+    def add(self, blocks: np.ndarray, *curves) -> None:
+        """Add each of ``curves`` in turn to the row of each of the distinct
+        ``blocks``."""
+        classes, rows = self.gather(blocks)
+        for curve in curves:
+            rows += curve
+        self.put(blocks, rows, classes)
 
     def held_rows(self) -> np.ndarray:
-        """A view of every row held, the zero row included."""
+        """A view of every class row held, the zero row included."""
         return self.rows[: self.held]
 
-    def _slots(self, blocks: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        """Slot of each of the distinct ``blocks``, giving each uncharged one
-        a fresh zero row; fills ``idx`` in place.  May replace ``self.rows``,
-        so callers read it only after this returns."""
-        if idx is None:
-            idx = self.index[blocks]
-        charged = np.count_nonzero(idx)  # a cheaper reduction than idx.all()
-        if charged == len(idx):
-            return idx
-        # with no block charged yet, as for most narrow selections, skip the mask
-        new = idx == 0 if charged else slice(None)
-        end = self.held + len(idx) - charged
+    def _reserve(self, count: int) -> int:
+        """Make room for ``count`` new classes; the slot of the first.  May
+        replace ``self.rows``, so callers read it only after this returns."""
+        start = self.held
+        end = start + count
         if end > len(self.rows):
-            grown = np.zeros((min(max(2 * len(self.rows), end), self.index.size + 1), N_ALPHA))
-            grown[: self.held] = self.rows[: self.held]
-            self.rows = grown
-        fresh = np.arange(self.held, end)
-        self.index[blocks[new]] = fresh
-        idx[new] = fresh
+            capacity = min(max(2 * len(self.rows), end), self.index.size + 1)
+            rows = np.zeros((capacity, N_ALPHA))
+            rows[:start] = self.rows[:start]
+            size = np.zeros(capacity, dtype=np.intp)
+            size[:start] = self.size[:start]
+            self.rows, self.size = rows, size
         self.held = end
-        return idx
+        return start
+
+    def _regroup(self, blocks: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Move the distinct ``blocks`` into one new class per row of
+        ``rows``: block ``blocks[i]`` gets row ``keys[i]``, and every row is
+        some block's.  The slots of classes left empty are reused, and any
+        left over are dropped by renumbering the classes."""
+        held = self.held
+        size = self.size
+        size[:held] -= np.bincount(self.index[blocks], minlength=held)
+        empty = np.flatnonzero(size[1:held] == 0) + 1
+        reused = empty[: len(rows)]
+        slots = np.concatenate((reused, np.arange(self._reserve(len(rows) - len(reused)), self.held)))
+        self.rows[slots] = rows
+        self.size[slots] = np.bincount(keys, minlength=len(rows))
+        self.index[blocks] = slots[keys]
+        if len(empty) > len(reused):
+            live = np.ones(self.held, dtype=bool)
+            live[empty[len(reused):]] = False
+            self.index = (np.cumsum(live) - 1)[self.index]
+            kept = np.count_nonzero(live)
+            self.rows[:kept] = self.rows[: self.held][live]
+            self.rows[kept : self.held] = 0.0
+            self.size[:kept] = self.size[: self.held][live]
+            self.size[kept : self.held] = 0
+            self.held = kept
 
     def maximum(self, other: "BlockRows") -> None:
         """Pointwise maximum with ``other``, over the union of charged blocks;
         a block that ``other`` never charged keeps its row, as rows are
-        non-negative."""
+        non-negative.  Blocks alike in both stores stay alike."""
         blocks = np.flatnonzero(other.index)
-        idx = self._slots(blocks)
-        self.rows[idx] = np.maximum(self.rows[idx], other.gather(blocks)[1])
+        if not blocks.size:
+            return
+        pairs, keys = np.unique(self.index[blocks] * other.held + other.index[blocks], return_inverse=True)
+        mine, theirs = np.divmod(pairs, other.held)
+        self._regroup(blocks, keys, np.maximum(self.rows[mine], other.rows[theirs]))
 
     def copy(self) -> "BlockRows":
         dup = BlockRows.__new__(BlockRows)
         dup.index = self.index.copy()
         dup.rows = self.rows[: self.held].copy()
+        dup.size = self.size[: self.held].copy()
         dup.held = self.held
         return dup
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks holding a nonzero row, ascending, and those rows."""
+        """The blocks holding a nonzero row, ascending, and the slot of each."""
         blocks = np.flatnonzero(self.index)
-        rows = self.gather(blocks)[1]
-        keep = rows.any(axis=1)
-        return blocks[keep], rows[keep]
+        slots = self.index[blocks]
+        keep = self.held_rows().any(axis=1)[slots]
+        return blocks[keep], slots[keep]
 
 
 class FilterState:
     """Cumulative RDP accumulators per (rule, block, time cell): one
-    ``BlockRows`` store per (rule, cell) that holds a row for each block
-    charged in that cell."""
+    ``BlockRows`` store per (rule, cell) that holds a row for each class of
+    blocks charged alike in that cell."""
 
     def __init__(self, domain: BlockDomain):
         self.domain = domain
@@ -296,40 +449,38 @@ class FilterState:
 
     # -- serialization --------------------------------------------------------
 
-    def _held(self) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray]]]:
-        """Per rule and cell, the blocks holding a nonzero row and those rows;
-        rules and cells without one are left out."""
-        held: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
+    def _held(self) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """Per rule and cell, the blocks holding a nonzero row, the slot of
+        each and the store's class rows; rules and cells without such a
+        block are left out."""
+        held: dict[str, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         for rid, per_rule in self._cells.items():
             for cell, store in per_rule.items():
-                blocks, rows = store.nonzero()
+                blocks, slots = store.nonzero()
                 if blocks.size:
-                    held.setdefault(rid, {})[cell] = (blocks, rows)
+                    held.setdefault(rid, {})[cell] = (blocks, slots, store.held_rows())
         return held
 
     def to_dict(self) -> dict:
         cells = {
             rid: {
-                cell: {"blocks": blocks.tolist(), "curves": rows.tolist()}
-                for cell, (blocks, rows) in per_rule.items()
+                cell: {"blocks": blocks.tolist(), "curves": rows[slots].tolist()}
+                for cell, (blocks, slots, rows) in per_rule.items()
             }
             for rid, per_rule in self._held().items()
         }
         return {"now": self.now, "domain": self.domain.to_dict(), "cells": cells}
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict())``, encoding each distinct row of a
-        cell once: charged blocks share few distinct curves."""
+        """``json.dumps(self.to_dict())``, encoding each class row of a cell
+        once: charged blocks share few classes."""
         rules = []
         for rid, per_rule in self._held().items():
             cells = []
-            for cell, (blocks, rows) in per_rule.items():
-                # keyed by raw bytes, so -0.0 and 0.0 stay apart as in repr
-                keys = rows.view(np.dtype((np.void, rows.itemsize * N_ALPHA))).ravel()
-                _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            for cell, (blocks, slots, rows) in per_rule.items():
                 # a row holds 14 numbers, so "], [" falls only between rows
-                bodies = json.dumps(rows[first].tolist())[2:-2].split("], [")
-                curves = "], [".join([bodies[i] for i in inverse.tolist()])
+                bodies = json.dumps(rows.tolist())[2:-2].split("], [")
+                curves = "], [".join([bodies[i] for i in slots.tolist()])
                 blocks = json.dumps(blocks.tolist())
                 cells.append(f'{json.dumps(cell)}: {{"blocks": {blocks}, "curves": [[{curves}]]}}')
             rules.append(f"{json.dumps(rid)}: {{{', '.join(cells)}}}")
@@ -368,7 +519,14 @@ class FilterState:
                     if cell not in addressable:
                         raise ValidationError(f"state cell {rid}/{cell}: not a cell of this state")
                     blocks = np.asarray(payload["blocks"])
-                    curves = np.asarray(payload["curves"], dtype=float)
+                    curves = payload["curves"]
+                    if isinstance(curves, _ClassRows):
+                        curves, of_block = curves
+                    else:
+                        curves = np.asarray(curves, dtype=float)
+                        if curves.shape == (0,):
+                            curves = curves.reshape(0, N_ALPHA)  # `"curves": []` lists no rows
+                        of_block = None
                     if (
                         blocks.ndim != 1
                         # numpy reads a bool among ints as 0 or 1
@@ -381,16 +539,27 @@ class FilterState:
                         raise ValidationError(
                             f"state cell {rid}/{cell}: blocks must be integers in [0, {n}), each listed once"
                         )
-                    if curves.shape == (0,):
-                        curves = curves.reshape(0, N_ALPHA)  # `"curves": []` lists no rows
-                    if curves.shape != (blocks.size, N_ALPHA) or not ((curves >= 0) & (curves < np.inf)).all():
+                    if (
+                        curves.ndim != 2 or curves.shape[1] != N_ALPHA
+                        or len(curves if of_block is None else of_block) != blocks.size
+                        or not ((curves >= 0) & (curves < np.inf)).all()
+                    ):
                         raise ValidationError(
                             f"state cell {rid}/{cell}: curves must be one row of {N_ALPHA} "
                             f"finite, non-negative values per block"
                         )
-                    if blocks.size:  # a cell that holds no charge gets no store
+                    if not blocks.size:  # a cell that holds no charge gets no store
+                        continue
+                    if of_block is None:
                         state.ensure(rid, cell).put(blocks, curves)
+                    else:
+                        state.ensure(rid, cell)._regroup(blocks, of_block, curves)
         return state
+
+
+class _ClassRows(tuple):
+    """A cell's distinct rows and, per block, the position of its row: the
+    curves of a cell as ``from_json`` parses them."""
 
 
 # a "curves" array of number rows; quotes, escapes and words end a match
@@ -398,9 +567,9 @@ _CURVES = re.compile(r'"curves": (\[[-+.0-9eE, \[\]]*\])')
 
 
 def _canonical_state_doc(text: str) -> dict | None:
-    """``json.loads(text)``, with each cell's curves as the float array that
-    ``from_dict`` reads, when ``text`` is ``json.dumps`` of a state document;
-    ``None`` for any other text.
+    """``json.loads(text)``, with each cell's curves as its distinct rows and
+    the row of each block (``_ClassRows``), when ``text`` is ``json.dumps``
+    of a state document; ``None`` for any other text.
 
     Each "curves" array is cut out of the text, and the rest, the skeleton,
     parsed.  The result is taken only when re-encoding the skeleton gives it
@@ -437,7 +606,8 @@ def _canonical_state_doc(text: str) -> dict | None:
             # no body holds a bracket, so each body is one row of the array
             if len(rows) != len(ids):
                 return None
-            payload["curves"] = np.array(rows, dtype=float)[list(map(ids.__getitem__, bodies))]
+            of_block = np.array(list(map(ids.__getitem__, bodies)), dtype=np.intp)
+            payload["curves"] = _ClassRows((np.array(rows, dtype=float), of_block))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
         return None
     return doc
@@ -471,6 +641,18 @@ class Decision:
 _NO_MECHANISMS: frozenset[int] = frozenset()
 
 
+def _atom(p: Predicate) -> Predicate:
+    """``p``, or the one part of an ``And`` that is not ``true`` when that
+    part is an atom the index buckets, or ``true`` when every part is."""
+    if isinstance(p, And):
+        parts = [q for q in p.parts if not isinstance(q, TruePredicate)]
+        if not parts:
+            return TruePredicate()
+        if len(parts) == 1 and isinstance(parts[0], (HasLabel, AttrIntersects)):
+            return parts[0]
+    return p
+
+
 class RuleIndex:
     """Rules indexed by the labels their predicates name, so that a label set
     finds the rules it satisfies without evaluating every predicate: the
@@ -478,9 +660,11 @@ class RuleIndex:
 
     ``TruePredicate`` matches always; ``HasLabel(k, v)`` sits in the bucket of
     ``(k, v)``, and ``AttrIntersects(A)`` in the bucket of ``("attr", a)`` for
-    each ``a`` in ``A``.  Any other predicate (``And``, ``Or``, ``Not``) is
-    evaluated with ``eval_predicate`` on each label set.  The items need only
-    a ``predicate`` and a ``unit``, so simulator scopes use the same index.
+    each ``a`` in ``A``.  An ``And`` whose parts are all ``true`` but at most
+    one of these atoms, as extensions conjoin them, is indexed as that atom.
+    Any other predicate (``And``, ``Or``, ``Not``) is evaluated with
+    ``eval_predicate`` on each label set.  The items need only a
+    ``predicate`` and a ``unit``, so simulator scopes use the same index.
     """
 
     __slots__ = ("rules", "tracked_units", "_always", "_buckets", "_fallback")
@@ -493,7 +677,7 @@ class RuleIndex:
         self._buckets: dict[str, dict[str, list[int]]] = {}
         self._fallback: list[int] = []
         for i, rule in enumerate(self.rules):
-            p = rule.predicate
+            p = _atom(rule.predicate)
             if isinstance(p, TruePredicate):
                 self._always.append(i)
             elif isinstance(p, HasLabel):
@@ -589,9 +773,9 @@ def check_and_commit(
     time_axis = state.domain.time_axis
     matches = match_rules(index, request.mechanisms)
 
-    # each (rule, cell) store's rows are gathered and composed once: the
-    # check reads the composed rows and an accepted commit writes them back
-    plan: list[tuple[str, str, BlockRows, np.ndarray, np.ndarray]] = []
+    # each (rule, cell) store's class rows are gathered and composed once:
+    # the check reads the composed rows and an accepted commit writes them back
+    plan: list[tuple[str, str, BlockRows, tuple, np.ndarray]] = []
     violations: list[Violation] = []
     for rule, mech_idx in zip(index.rules, matches):
         if not mech_idx:
@@ -611,17 +795,17 @@ def check_and_commit(
             store = state.array(rule.rule_id, cell)
             if store is None:
                 store = BlockRows(state.domain.domain_size)
-            idx, rows = store.gather(sel)
+            classes, rows = store.gather(sel)
             rows += cost
             if not within_budget(rows, budget).all():
                 violations.append(Violation(rule.rule_id, "cumulative", cell))
-            plan.append((rule.rule_id, cell, store, idx, rows))
+            plan.append((rule.rule_id, cell, store, classes, rows))
 
     if violations:
         return Decision(False, "cumulative", tuple(violations))
-    for rule_id, cell, store, idx, rows in plan:
+    for rule_id, cell, store, classes, rows in plan:
         state._cells.setdefault(rule_id, {})[cell] = store
-        store.put(sel, rows, idx)
+        store.put(sel, rows, classes)
     return Decision(True, "accepted")
 
 

@@ -611,11 +611,11 @@ class ScenarioResult:
 class _Scope:
     """Post-hoc per-scope accounting, independent of the decision point: a
     monitor-only filter whose ``_acc`` is a ``BlockRows`` store, one RDP
-    accumulator row per block the scope has charged.
+    accumulator row per class of blocks the scope has charged alike.
 
-    Reports are incremental: ``report`` evaluates only the rows charged since
-    the last report and keeps a running max, which is exact because a row's
-    epsilon never falls as it grows, and an uncharged row cannot raise the max.
+    A report takes the max epsilon over the held class rows.  The zero row of
+    the uncharged blocks is among them, and moves no max, as a charged row's
+    epsilon is never below it.
     """
 
     def __init__(self, name: str, predicate: Predicate, unit: str, bound: float | None,
@@ -627,8 +627,6 @@ class _Scope:
         self.month = month
         self.delta = cfg.delta_budget
         self._acc = BlockRows(cfg.pa_domain_size)
-        self._dirty = np.zeros(cfg.pa_domain_size, dtype=bool)
-        self._eps = 0.0
 
     def add(self, request: ReleaseRequest, matched: frozenset[int]) -> None:
         """Charge the request's selection with the cost of each mechanism
@@ -637,23 +635,19 @@ class _Scope:
             return
         if request.pa_selection.size == 0:
             return
-        charged = False
+        costs = []
         for m in sorted(matched):
             cost = request.mechanisms[m].cost_by_unit.get(self.unit)
-            if cost is None:
-                continue
-            self._acc.add(request.pa_selection, cost.curve)
-            charged = True
-        if charged:
-            self._dirty[request.pa_selection] = True
+            if cost is not None:
+                costs.append(cost.curve)
+        if costs:
+            self._acc.add(request.pa_selection, *costs)
 
     def report(self) -> ScopeCost:
-        blocks = np.flatnonzero(self._dirty)
-        if blocks.size:
-            self._eps = max(self._eps, float(rdp_epsilon(self._acc.gather(blocks)[1], self.delta).max()))
-            self._dirty[blocks] = False
-        violation = self.bound is not None and self._eps > self.bound + 1e-9
-        return ScopeCost(self._eps, self.bound, violation)
+        rows = self._acc.held_rows()
+        eps = float(rdp_epsilon(rows, self.delta).max()) if len(rows) > 1 else 0.0
+        violation = self.bound is not None and eps > self.bound + 1e-9
+        return ScopeCost(eps, self.bound, violation)
 
 
 def _build_scopes(cfg: WorkloadConfig, schema: WorkloadSchema) -> list[_Scope]:

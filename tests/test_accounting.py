@@ -246,6 +246,17 @@ def test_calibration_refuses_an_epsilon_no_finite_rho_reaches():
         calibrate_gaussian_rho(1.7e308, 1e-7)
 
 
+@pytest.mark.parametrize("rho", [5e-324, 1e-310, 1e-300, 1e300, 1.7e308, sys.float_info.max])
+def test_tight_conversion_of_an_extreme_rho(rho):
+    """``ln(1/delta)/rho`` overflows for a subnormal rho, and ``rho * a`` for a
+    huge one; neither may yield NaN or warn, and the result stays within the
+    closed form."""
+    delta = 1e-7
+    tight = zcdp_to_adp(rho, delta, "tight_numeric").epsilon
+    closed = zcdp_to_adp(rho, delta, "closed_form").epsilon
+    assert 0.0 <= tight <= closed
+
+
 def test_scale_budget():
     assert scale_budget(ADP(10, 1e-7), 0.5) == ADP(5, 1e-7)
     assert scale_budget(gaussian_curve(0.1), 0.5) == gaussian_curve(0.05)

@@ -40,8 +40,10 @@ from dpwarden.core import (
     TruePredicate,
     UnitGraph,
     ZCDP,
+    eval_predicate,
 )
 from dpwarden.decision import (
+    _FEW_RUNS,
     BlockDomain,
     BlockRows,
     CELL_FUTURE,
@@ -370,6 +372,30 @@ def test_rule_index_matches_flat_evaluation(predicates, label_sets):
             for item in items
         ]
         assert RuleIndex(items).match(mechanisms) == want
+
+
+# an atom conjoined with `true` parts, as extensions conjoin predicates
+_conjunctions = st.builds(
+    lambda before, atom, after: And((TruePredicate(),) * before + (atom,) + (TruePredicate(),) * after),
+    st.integers(0, 2),
+    st.one_of(st.builds(HasLabel, _label_keys, _label_names),
+              st.builds(AttrIntersects, st.frozensets(_label_names, max_size=3))),
+    st.integers(0, 2),
+) | st.integers(0, 3).map(lambda n: And((TruePredicate(),) * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjunctions=st.lists(_conjunctions, min_size=1, max_size=6),
+       others=st.lists(_predicates, max_size=4),
+       label_sets=st.lists(_label_sets, min_size=1, max_size=4))
+def test_rule_index_buckets_an_atom_conjoined_with_true(conjunctions, others, label_sets):
+    """An ``And`` of ``true`` parts and at most one indexed atom needs no
+    evaluation on a label set, and still matches as ``eval_predicate`` does."""
+    predicates = [*conjunctions, *others]
+    index = RuleIndex([Rule(f"r{i}", p, "user", ADP(1.0, 1e-7)) for i, p in enumerate(predicates)])
+    assert all(i >= len(conjunctions) for i in index._fallback)
+    for labels in label_sets:
+        assert index.matching(labels) == {i for i, p in enumerate(predicates) if eval_predicate(p, labels)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -742,19 +768,25 @@ def test_state_codec_of_an_empty_state():
 # The per-block store against dense arrays
 # ---------------------------------------------------------------------------
 
-_STORE_DOMAIN = 6
+_STORE_DOMAIN = 24
 _selections = st.one_of(
     st.just([]),
     st.just(list(range(_STORE_DOMAIN))),
     st.lists(st.integers(0, _STORE_DOMAIN - 1), max_size=2 * _STORE_DOMAIN),  # repeats
+    # every k-th block: once classes are fragmented, a selection of many runs
+    st.builds(lambda start, step: list(range(start, _STORE_DOMAIN, step)), st.integers(0, 3), st.integers(1, 3)),
 )
 _costs = st.one_of(
     st.just(np.zeros(N_ALPHA)),  # a charged block may still hold a zero row
     st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=N_ALPHA, max_size=N_ALPHA).map(np.array),
 )
+# rows to put on blocks one by one: few distinct, so some blocks get equal rows
+_ROW_POOL = np.array([np.zeros(N_ALPHA), np.arange(N_ALPHA) / 7.0, np.full(N_ALPHA, 0.5)])
 _store_ops = st.one_of(
     st.tuples(st.just("compose"), st.integers(0, 2), _selections, _costs),
     st.tuples(st.just("add"), st.integers(0, 2), _selections, _costs),
+    st.tuples(st.just("put"), st.integers(0, 2), _selections,
+              st.lists(st.integers(0, len(_ROW_POOL) - 1), min_size=_STORE_DOMAIN, max_size=_STORE_DOMAIN)),
     st.tuples(st.just("maximum"), st.integers(0, 2), st.integers(0, 2)),
     st.tuples(st.just("copy"), st.integers(0, 2), st.integers(0, 2)),
 )
@@ -766,7 +798,7 @@ def _selection(blocks):
 
 
 def _round_trip_bytes(store) -> tuple[str, str]:
-    state = FilterState(BlockDomain(("pa",), _STORE_DOMAIN))
+    state = FilterState(BlockDomain(("pa",), len(store.index)))
     state._cells = {"r": {CELL_STATIC: store}}
     first = json.dumps(state.to_dict())
     return first, json.dumps(FilterState.from_dict(json.loads(first)).to_dict())
@@ -778,24 +810,45 @@ def _dense_cells_doc(arr) -> dict:
     return {"r": {CELL_STATIC: {"blocks": blocks.tolist(), "curves": arr[blocks].tolist()}}} if blocks.size else {}
 
 
+def _assert_classes(store) -> None:
+    """No class is empty, ``size`` counts each class's blocks (slot 0 those
+    never charged), and a store holds at most a row per charged block plus
+    the zero row."""
+    held = store.held
+    charged = np.count_nonzero(store.index)
+    assert (store.index < held).all()
+    assert (store.size[1:held] >= 1).all()
+    assert store.size[1:held].sum() == charged
+    assert held <= charged + 1
+    assert store.size[:held].tolist() == np.bincount(store.index, minlength=held).tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=st.lists(_store_ops, max_size=30))
 def test_block_rows_match_a_dense_oracle(ops):
     """Charges as the check composes them (gather, add, put back) and as a
-    scope adds them, merges and copies, interleaved."""
+    scope adds them, rows put block by block, merges and copies,
+    interleaved."""
     stores = [BlockRows(_STORE_DOMAIN) for _ in range(3)]
     oracle = [np.zeros((_STORE_DOMAIN, N_ALPHA)) for _ in range(3)]
     for op in ops:
         kind, i = op[0], op[1]
         if kind == "compose":
             sel, cost = _selection(op[2]), op[3]
-            idx, rows = stores[i].gather(sel)
-            stores[i].put(sel, rows + cost, idx)
+            classes, rows = stores[i].gather(sel)
+            stores[i].put(sel, rows + cost, classes)
             oracle[i][sel] += cost
         elif kind == "add":
             sel, cost = _selection(op[2]), op[3]
             stores[i].add(sel, cost)
             oracle[i][sel] += cost
+        elif kind == "put":
+            sel = _selection(op[2])
+            rows = _ROW_POOL[op[3][: len(sel)]]
+            stores[i].put(sel, rows)
+            oracle[i][sel] = rows
+            # blocks given rows with equal bytes share one class
+            assert len(set(stores[i].index[sel].tolist())) == len(set(op[3][: len(sel)]))
         elif kind == "maximum":
             stores[i].maximum(stores[op[2]])
             np.maximum(oracle[i], oracle[op[2]], out=oracle[i])
@@ -804,11 +857,45 @@ def test_block_rows_match_a_dense_oracle(ops):
             oracle[i] = oracle[op[2]].copy()
         for store, arr in zip(stores, oracle):
             assert dense(store).tobytes() == arr.tobytes()
+            _assert_classes(store)
             assert store.shape[0] <= len(store.rows) <= _STORE_DOMAIN + 1
             assert not store.rows[0].any() and not store.rows[store.held:].any()
             first, again = _round_trip_bytes(store)
             assert first == again
             assert json.loads(first)["cells"] == _dense_cells_doc(arr)
+
+
+@pytest.mark.parametrize("runs", [1, 2, _FEW_RUNS, _FEW_RUNS + 1, 40])
+@pytest.mark.parametrize("part", [slice(None), slice(3, -3)])
+def test_block_rows_group_the_runs_of_a_selection(runs, part):
+    """A selection that crosses few runs of one class is grouped in a loop,
+    and one that crosses many by sorting them.  Three classes take turns
+    along the domain, so a class recurs in several runs; the whole domain
+    covers every class wholly, and a part of it splits the classes at its
+    ends."""
+    domain = 80
+    store, oracle = BlockRows(domain), np.zeros((domain, N_ALPHA))
+    segment = np.arange(domain) * runs // domain
+    for turn in (1, 2):
+        blocks = np.flatnonzero(segment % 3 == turn)
+        store.add(blocks, np.full(N_ALPHA, float(turn)))
+        oracle[blocks] += turn
+    sel = np.arange(domain)[part]
+    classes, rows = store.gather(sel)
+    slots, counts, grouped = classes
+    assert (grouped is None) == (len(np.unique(segment[part])) == 1)
+    assert isinstance(grouped, list) == (1 < len(np.unique(segment[part])) <= _FEW_RUNS)
+    assert sorted(zip(slots, counts)) == sorted(zip(*np.unique(store.index[sel], return_counts=True)))
+    assert rows.tobytes() == store.rows[slots].tobytes()
+    before, held = store.index.copy(), store.held
+    store.put(sel, rows + 0.25, classes)
+    oracle[sel] += 0.25
+    assert dense(store).tobytes() == oracle.tobytes()
+    _assert_classes(store)
+    # a new class for each class covered in part, and for the uncharged blocks
+    split = [s for s in slots if s == 0 or np.count_nonzero(before == s) > np.count_nonzero(before[sel] == s)]
+    assert store.held == held + len(split)
+    assert (store.index[sel] == before[sel]).all() == (not split)
 
 
 def _dense_headroom(state, poset, budget_scale):
@@ -852,7 +939,7 @@ def test_headroom_equals_a_dense_recompute():
                 for scale in (1.0, 0.5):
                     assert point.headroom(scale) == _dense_headroom(point.state, point.poset, scale)
             all_charged += any(
-                store.shape[0] == domain_size + 1
+                store.index.all()
                 for per_rule in point.state._cells.values() for store in per_rule.values()
             )
     assert all_charged > 0
