@@ -128,6 +128,10 @@ class BlockDomain:
         )
 
 
+# the largest domain an int32 index serves: a store holds up to one class per
+# block beside the zero row, and that count must fit in an int32
+_MAX_DOMAIN = 2**31 - 2
+
 # a selection that crosses at most this many runs of one class is grouped in
 # a Python loop; past it, sorting the runs costs about what the loop does,
 # and far less at the hundreds of runs of a wide selection
@@ -137,11 +141,11 @@ _FEW_RUNS = 8
 class BlockRows:
     """RDP accumulator rows over a block domain, one per class of blocks that
     were charged alike: the store of one (rule, time cell) filter, or of one
-    simulator scope.
+    simulator scope that no active rule enforces.
 
-    ``index`` maps every block of the domain to the slot of its class in
-    ``rows``, and ``size`` counts the blocks of each class.  Slot 0 is a
-    permanent zero row, the class of every uncharged block, so
+    ``index`` (int32) maps every block of the domain to the slot of its
+    class in ``rows``, and ``size`` counts the blocks of each class.  Slot 0
+    is a permanent zero row, the class of every uncharged block, so
     ``rows[index[blocks]]`` reads what a dense ``(domain_size, N_ALPHA)``
     array would.  A charge composes one row per class its selection meets: a
     class it covers wholly keeps its slot, and the part it covers of any
@@ -154,10 +158,13 @@ class BlockRows:
     __slots__ = ("index", "rows", "size", "held")
 
     def __init__(self, domain_size: int):
+        too_large = f"a domain of {domain_size} blocks is too large to index"
+        if domain_size > _MAX_DOMAIN:
+            raise ValidationError(too_large)
         try:
-            self.index = np.zeros(domain_size, dtype=np.intp)
+            self.index = np.zeros(domain_size, dtype=np.int32)
         except MemoryError:
-            raise ValidationError(f"a domain of {domain_size} blocks is too large to index") from None
+            raise ValidationError(too_large) from None
         self.rows = np.zeros((min(16, domain_size + 1), N_ALPHA))
         self.size = np.zeros(len(self.rows), dtype=np.intp)
         self.size[0] = domain_size
@@ -291,12 +298,10 @@ class BlockRows:
             run_slots, lengths = runs
             self.index[blocks] = np.repeat(target[np.searchsorted(slots, run_slots)], lengths)
 
-    def add(self, blocks: np.ndarray, *curves) -> None:
-        """Add each of ``curves`` in turn to the row of each of the distinct
-        ``blocks``."""
+    def add(self, blocks: np.ndarray, curve) -> None:
+        """Add ``curve`` to the row of each of the distinct ``blocks``."""
         classes, rows = self.gather(blocks)
-        for curve in curves:
-            rows += curve
+        rows += curve
         self.put(blocks, rows, classes)
 
     def held_rows(self) -> np.ndarray:
@@ -335,7 +340,7 @@ class BlockRows:
         if len(empty) > len(reused):
             live = np.ones(self.held, dtype=bool)
             live[empty[len(reused):]] = False
-            self.index = (np.cumsum(live) - 1)[self.index]
+            self.index = (np.cumsum(live, dtype=np.int32) - 1)[self.index]
             kept = np.count_nonzero(live)
             self.rows[:kept] = self.rows[: self.held][live]
             self.rows[kept : self.held] = 0.0
@@ -350,7 +355,10 @@ class BlockRows:
         blocks = np.flatnonzero(other.index)
         if not blocks.size:
             return
-        pairs, keys = np.unique(self.index[blocks] * other.held + other.index[blocks], return_inverse=True)
+        # in intp: the pair key of two int32 slots overflows int32
+        pairs, keys = np.unique(
+            self.index[blocks].astype(np.intp) * other.held + other.index[blocks], return_inverse=True
+        )
         mine, theirs = np.divmod(pairs, other.held)
         self._regroup(blocks, keys, np.maximum(self.rows[mine], other.rows[theirs]))
 
@@ -664,7 +672,7 @@ class RuleIndex:
     one of these atoms, as extensions conjoin them, is indexed as that atom.
     Any other predicate (``And``, ``Or``, ``Not``) is evaluated with
     ``eval_predicate`` on each label set.  The items need only a
-    ``predicate`` and a ``unit``, so simulator scopes use the same index.
+    ``predicate`` and a ``unit``, so own-store simulator scopes use it too.
     """
 
     __slots__ = ("rules", "tracked_units", "_always", "_buckets", "_fallback")
@@ -869,6 +877,15 @@ class DecisionPoint:
         if not first.accepted:
             return first
         return check_and_commit(self.state, request, self.index, budget_scale)
+
+    def ledger(self, predicate: Predicate, unit: str) -> BlockRows | None:
+        """The static store of an active rule with ``predicate`` (up to
+        ``_atom``) and ``unit``, off the time axis: the rule's only store."""
+        if self.state.domain.time_axis is None or unit != self.state.domain.time_axis.unit:
+            for rule in self.index.rules:
+                if rule.unit == unit and _atom(rule.predicate) == _atom(predicate):
+                    return self.state.ensure(rule.rule_id, CELL_STATIC)
+        return None
 
     def advance_time(self, new_now: int) -> None:
         self.state.collapse_time(new_now)

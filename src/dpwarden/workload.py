@@ -609,9 +609,10 @@ class ScenarioResult:
 
 
 class _Scope:
-    """Post-hoc per-scope accounting, independent of the decision point: a
-    monitor-only filter whose ``_acc`` is a ``BlockRows`` store, one RDP
-    accumulator row per class of blocks the scope has charged alike.
+    """Post-hoc per-scope accounting: a monitor-only filter whose ``_acc`` is
+    a ``BlockRows`` store, one RDP row per class of blocks charged alike.  A
+    scope that an active rule enforces reads that rule's store (``share``),
+    which only the commit charges; any other is charged through ``add``.
 
     A report takes the max epsilon over the held class rows.  The zero row of
     the uncharged blocks is among them, and moves no max, as a charged row's
@@ -628,9 +629,17 @@ class _Scope:
         self.delta = cfg.delta_budget
         self._acc = BlockRows(cfg.pa_domain_size)
 
+    def share(self, point: DecisionPoint) -> bool:
+        """Read the store of the rule of ``point`` enforcing this scope, if any."""
+        store = None if self.month is not None else point.ledger(self.predicate, self.unit)
+        if store is not None:
+            self._acc = store
+        return store is not None
+
     def add(self, request: ReleaseRequest, matched: frozenset[int]) -> None:
-        """Charge the request's selection with the cost of each mechanism
-        that matches the scope's predicate: ``matched`` holds their indices."""
+        """Charge the request's selection with the summed cost of the
+        mechanisms that match the scope's predicate, whose indices
+        ``matched`` holds: summed first, then added once, as the commit does."""
         if self.month is not None and request.time_step != self.month:
             return
         if request.pa_selection.size == 0:
@@ -641,7 +650,10 @@ class _Scope:
             if cost is not None:
                 costs.append(cost.curve)
         if costs:
-            self._acc.add(request.pa_selection, *costs)
+            total = np.array(costs[0])
+            for curve in costs[1:]:
+                total += curve
+            self._acc.add(request.pa_selection, total)
 
     def report(self) -> ScopeCost:
         rows = self._acc.held_rows()
@@ -694,7 +706,8 @@ def _baseline_rules(cfg: WorkloadConfig) -> list[Rule]:
 
 
 def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
-    """Simulate one scenario end to end and report per-round scope costs."""
+    """Simulate one scenario end to end and report per-round scope costs;
+    only the scopes that keep their own store are charged after acceptance."""
     if mode not in ("dpolicy", "baseline"):
         raise ConfigError(f"mode must be 'dpolicy' or 'baseline', got {mode!r}")
     schema = build_schema(cfg)
@@ -713,9 +726,8 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
     domain = BlockDomain(("pa",), cfg.pa_domain_size, time_axis)
     point = DecisionPoint(poset, policy.per_release, domain)
     scopes = _build_scopes(cfg, schema)
-    # scopes match through their own index, not decision.match_rules, which
-    # belongs to the decision point's own check
-    scope_index = RuleIndex(scopes)
+    own = [scope for scope in scopes if not scope.share(point)]
+    scope_index = RuleIndex(own)
 
     reports: list[RoundReport] = []
     cumulative_utility = 0.0
@@ -730,7 +742,7 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
             decision = point.process(request, budget_scale=unlocked)
             if decision.accepted:
                 round_utility += request.utility
-                for scope, matched in zip(scopes, scope_index.match(request.mechanisms)):
+                for scope, matched in zip(own, scope_index.match(request.mechanisms)):
                     if matched:
                         scope.add(request, matched)
         cumulative_utility += round_utility

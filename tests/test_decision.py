@@ -162,6 +162,30 @@ def _time_request(rid, month, eps=2.5):
     return ReleaseRequest(rid, (mech,), (0, 1, 2), month, 1.0)
 
 
+def test_ledger_is_the_static_store_of_a_rule_off_the_time_axis():
+    """A scope shares a rule's store only when the rule's predicate equals
+    its own up to ``and(..., true)``, the units are equal, and the unit is
+    not the time axis's, whose rules keep one store per time cell."""
+    standard = HasLabel("context", "standard")
+    rules = [
+        Rule("global", TruePredicate(), "user", ADP(10.0, 1e-7)),
+        Rule("standard", And((standard, TruePredicate())), "user", ADP(3.0, 1e-7)),
+        Rule("monthly", HasLabel("data", "time"), "user-month", ADP(3.0, 1e-7)),
+    ]
+    point = DecisionPoint(rules, domain=BlockDomain(("pa",), 8, TimeAxis("user-month", 7, 6)))
+    assert point.ledger(TruePredicate(), "user") is point.state.array("global", CELL_STATIC)
+    assert point.ledger(standard, "user") is point.state.array("standard", CELL_STATIC)
+    assert point.ledger(standard, "user-month") is None
+    assert point.ledger(HasLabel("data", "time"), "user-month") is None
+    assert point.ledger(HasLabel("context", "other"), "user") is None
+    # the commit charges the very store a scope reads
+    store = point.ledger(TruePredicate(), "user")
+    mech = _mech({"context": ["standard"]}, pure_curve(0.5), ("user", "user-month"))
+    req = ReleaseRequest("q", (mech,), (0, 1))
+    assert point.process(req).accepted
+    assert dense(store)[[0, 1]].tolist() == [list(pure_curve(0.5).curve)] * 2
+
+
 def test_parallel_composition_across_months():
     point = _monthly_point()
     assert point.process(_time_request("q1", 5)).accepted
@@ -896,6 +920,62 @@ def test_block_rows_group_the_runs_of_a_selection(runs, part):
     split = [s for s in slots if s == 0 or np.count_nonzero(before == s) > np.count_nonzero(before[sel] == s)]
     assert store.held == held + len(split)
     assert (store.index[sel] == before[sel]).all() == (not split)
+
+
+def test_block_rows_maximum_of_many_classes_matches_a_dense_oracle():
+    """Two stores of 70,000 one-block classes: the key that pairs a block's
+    two classes, 70,000 * 70,001 + 70,000 at most, passes 2**31."""
+    domain = 70_000
+    rng = np.random.default_rng(5)
+    arrays = [rng.random((domain, N_ALPHA)) for _ in range(2)]
+    stores = [BlockRows(domain) for _ in arrays]
+    for store, arr in zip(stores, arrays):
+        fill(store, arr)
+        assert store.held == domain + 1
+    stores[0].maximum(stores[1])
+    assert dense(stores[0]).tobytes() == np.maximum(*arrays).tobytes()
+    _assert_classes(stores[0])
+    assert stores[0].index.dtype == np.int32
+
+
+def test_block_rows_index_stays_int32():
+    """Loaded from the state text, merged by ``maximum`` and renumbered by
+    ``_regroup``, a store keeps an int32 block index."""
+    domain = 6
+    state = FilterState(BlockDomain(("pa",), domain))
+    store = state.ensure("r", CELL_STATIC)
+    fill(store, _ROW_POOL[[1, 2, 1, 2, 0, 1]])
+    assert store.index.dtype == np.int32
+    for loaded in (FilterState.from_json(state.to_json()), FilterState.from_dict(json.loads(state.to_json()))):
+        assert loaded.array("r", CELL_STATIC).index.dtype == np.int32
+    other = BlockRows(domain)
+    fill(other, np.arange(domain * N_ALPHA, dtype=float).reshape(domain, N_ALPHA))
+    store.maximum(other)
+    assert store.index.dtype == np.int32 and store.held == domain + 1
+    # one row for every block empties all classes but one: the rest are renumbered
+    store.put(np.arange(domain), np.ones((domain, N_ALPHA)))
+    assert store.held == 2 and store.index.tolist() == [1] * domain
+    assert store.index.dtype == np.int32
+
+
+def test_a_domain_past_an_int32_index_is_refused_before_allocating(monkeypatch):
+    """The largest domain is 2**31 - 2 blocks: its class count, the zero row
+    included, is the largest int32.  A larger one is refused before
+    ``np.zeros`` is called; the largest one reaches it (which is stubbed
+    here to fail as an exhausted memory would)."""
+    sizes = []
+
+    def no_memory(shape, *args, **kwargs):
+        sizes.append(shape)
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(ValidationError, match="too large to index"):
+        BlockRows(2**31 - 1)
+    assert sizes == []
+    with pytest.raises(ValidationError, match="too large to index"):
+        BlockRows(2**31 - 2)
+    assert sizes == [2**31 - 2]
 
 
 def _dense_headroom(state, poset, budget_scale):

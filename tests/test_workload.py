@@ -228,24 +228,59 @@ def test_mechanism_table_matches_defaults():
         assert len(spec["levels"]) == 3
 
 
+@pytest.mark.parametrize("mode", ["dpolicy", "baseline"])
+@pytest.mark.parametrize("total_epsilon", [3.0, 20.0])
 @pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
-def test_scope_reports_match_pure_python_replay(scenario, monkeypatch):
-    from dpwarden.decision import DecisionPoint
+def test_scope_reports_match_pure_python_replay(scenario, total_epsilon, mode, monkeypatch):
+    """Every report, whether its scope shares an active rule's store or
+    keeps its own, equals a dense replay of the accepted requests."""
+    from dpwarden import workload
+    from dpwarden.decision import CELL_STATIC, DecisionPoint, _atom
     from dpwarden.workload import _build_scopes
 
-    cfg = small_cfg(scenario=scenario, rounds=4, total_epsilon=3.0)
+    cfg = small_cfg(scenario=scenario, rounds=4, total_epsilon=total_epsilon)
     accepted = []
+    points = []
+    built = []
+    indexed = []
     process = DecisionPoint.process
 
     def recording_process(self, request, budget_scale=1.0):
+        points.append(self)
         decision = process(self, request, budget_scale)
         if decision.accepted:
             accepted.append(request)
         return decision
 
+    def recording_build(cfg, schema):
+        built.extend(_build_scopes(cfg, schema))
+        return built
+
+    def recording_index(items):
+        indexed.append(items)
+        return RuleIndex(items)
+
     monkeypatch.setattr(DecisionPoint, "process", recording_process)
-    result = run_scenario(cfg)
+    monkeypatch.setattr(workload, "_build_scopes", recording_build)
+    monkeypatch.setattr(workload, "RuleIndex", recording_index)
+    result = run_scenario(cfg, mode)
     monkeypatch.undo()
+
+    # a scope reads the static store of the active rule it duplicates, and
+    # only the scopes that keep their own store are indexed and charged
+    point = points[0]
+    shared = []
+    for scope in built:
+        for rule in point.index.rules:
+            if scope.month is None and rule.unit == scope.unit and _atom(rule.predicate) == _atom(scope.predicate):
+                assert scope._acc is point.state.array(rule.rule_id, CELL_STATIC)
+                shared.append(scope)
+                break
+    assert indexed == [[scope for scope in built if scope not in shared]]
+    # every dpolicy scope of s1, and of s2 at 20, where pruning keeps each
+    # scope's rule; otherwise the global scope alone
+    every = mode == "dpolicy" and (scenario == "s1" or (scenario, total_epsilon) == ("s2", 20.0))
+    assert len(shared) == (len(built) if every else 1)
 
     schema = build_schema(cfg)
     batches = generate_workload(cfg, schema)
@@ -313,6 +348,40 @@ def test_incremental_scope_report_equals_full_recompute(month, steps):
         last = eps
 
 
+def test_shared_and_own_scopes_add_a_multi_mechanism_request_alike():
+    """A request of two matching mechanisms charges a scope that shares its
+    rule's store and a scope with its own store with the same bits: the
+    mechanisms' costs are summed, then added once, as the commit adds them."""
+    from dpwarden.core import ADP, Or, Rule
+    from dpwarden.decision import CELL_STATIC, BlockDomain, DecisionPoint
+
+    cfg = small_cfg(pa_domain_size=4, pa_range_unit=2)
+    charged = HasLabel("kind", "charged")
+    point = DecisionPoint([Rule("r", charged, "user", ADP(1e6, 1e-7))], domain=BlockDomain(("pa",), 4))
+    shared = _Scope("shared", charged, "user", None, cfg)
+    own = _Scope("own", Or((charged, HasLabel("kind", "never"))), "user", None, cfg)
+    assert shared.share(point) and not own.share(point)
+    # a month scope counts one month's requests, the rule's store all of them
+    assert not _Scope("month", charged, "user", None, cfg, month=6).share(point)
+    assert shared._acc is point.state.array("r", CELL_STATIC)
+
+    def mech(eps):
+        return Mechanism(LabelSet({"kind": ["charged"]}), {"user": pure_curve(eps)})
+
+    c, a, b = (np.array(pure_curve(eps).curve) for eps in (0.1, 0.2, 0.3))
+    assert ((c + a) + b != c + (a + b)).all()  # the two orders differ here
+    index = RuleIndex([own])
+    for request in (ReleaseRequest("q1", (mech(0.1),), [0, 1, 2]),
+                    ReleaseRequest("q2", (mech(0.2), mech(0.3)), [1, 2, 3])):
+        assert point.process(request).accepted
+        matched, = index.match(request.mechanisms)
+        own.add(request, matched)
+    want = np.array([c, c + (a + b), c + (a + b), a + b])
+    assert dense(shared._acc).tobytes() == dense(own._acc).tobytes() == want.tobytes()
+    eps = float(rdp_epsilon(want, cfg.delta_budget).max())
+    assert shared.report().cumulative_epsilon == own.report().cumulative_epsilon == eps
+
+
 def test_paper_scale_scope_reports_equal_full_recompute(monkeypatch):
     """At paper scale each request charges few of the 204,800 rows, so most
     rows stay clean between reports."""
@@ -349,17 +418,20 @@ def test_state_and_scopes_hold_rows_only_for_charged_blocks():
     point = DecisionPoint(prune(build_poset(compile_policy_set(policy), policy.unit_graph())),
                           policy.per_release, BlockDomain(("pa",), cfg.pa_domain_size))
     scopes = _build_scopes(cfg, schema)
-    index = RuleIndex(scopes)
+    own = [scope for scope in scopes if not scope.share(point)]
+    index = RuleIndex(own)
     accepted = 0
     for request in generate_workload(cfg, schema)[0]:
         if point.process(request).accepted:
             accepted += 1
-            for scope, matched in zip(scopes, index.match(request.mechanisms)):
+            for scope, matched in zip(own, index.match(request.mechanisms)):
                 if matched:
                     scope.add(request, matched)
     assert accepted >= 90
+    # a scope that shares a rule's store adds no store of its own
     stores = [store for per_rule in point.state._cells.values() for store in per_rule.values()]
-    stores += [scope._acc for scope in scopes]
-    assert len(stores) > 20
+    stores += [scope._acc for scope in own]
+    assert len({id(store) for store in stores}) == len(stores)
+    assert len(stores) > 20 and len(own) < len(scopes)
     dense_nbytes = cfg.pa_domain_size * N_ALPHA * np.dtype(float).itemsize
     assert sum(store.nbytes for store in stores) < 0.1 * len(stores) * dense_nbytes
