@@ -128,9 +128,12 @@ class BlockDomain:
         )
 
 
-# the largest domain an int32 index serves: a store holds up to one class per
-# block beside the zero row, and that count must fit in an int32
+# the largest domain a store indexes: it holds up to one class per block
+# beside the zero row, and that count must fit the int32 an index widens to
 _MAX_DOMAIN = 2**31 - 2
+
+# the slots an int16 block index holds; past them it widens to int32
+_SLOTS16 = 2**15
 
 # a selection that crosses at most this many runs of one class is grouped in
 # a Python loop; past it, sorting the runs costs about what the loop does,
@@ -143,16 +146,20 @@ class BlockRows:
     were charged alike: the store of one (rule, time cell) filter, or of one
     simulator scope that no active rule enforces.
 
-    ``index`` (int32) maps every block of the domain to the slot of its
-    class in ``rows``, and ``size`` counts the blocks of each class.  Slot 0
-    is a permanent zero row, the class of every uncharged block, so
-    ``rows[index[blocks]]`` reads what a dense ``(domain_size, N_ALPHA)``
-    array would.  A charge composes one row per class its selection meets: a
-    class it covers wholly keeps its slot, and the part it covers of any
-    other class splits off into a new one.  So no class is ever empty, and a
-    store holds at most one row per charged block plus the zero row.
-    Capacity doubles as classes are made, never past that bound, and the
-    rows past ``held`` stay zero.
+    ``index`` maps every block of the domain to the slot of its class in
+    ``rows``, and ``size`` counts the blocks of each class.  The index is
+    int16, 2 bytes a block, until a class takes a slot past 32,767; then
+    ``_reserve`` widens it to int32 once, for good.  An array of slots read
+    from it keeps its width, and numpy wraps a wider value written into it,
+    so such an array is widened to intp before new slots are written among
+    them.  Slot 0 is a permanent zero row, the class of every uncharged
+    block, so ``rows[index[blocks]]`` reads what a dense
+    ``(domain_size, N_ALPHA)`` array would.  A charge composes one row per
+    class its selection meets: a class it covers wholly keeps its slot, and
+    the part it covers of any other class splits off into a new one.  So no
+    class is ever empty, and a store holds at most one row per charged block
+    plus the zero row.  Capacity doubles as classes are made, never past
+    that bound, and the rows past ``held`` stay zero.
     """
 
     __slots__ = ("index", "rows", "size", "held")
@@ -162,7 +169,7 @@ class BlockRows:
         if domain_size > _MAX_DOMAIN:
             raise ValidationError(too_large)
         try:
-            self.index = np.zeros(domain_size, dtype=np.int32)
+            self.index = np.zeros(domain_size, dtype=np.int16)
         except MemoryError:
             raise ValidationError(too_large) from None
         self.rows = np.zeros((min(16, domain_size + 1), N_ALPHA))
@@ -225,7 +232,9 @@ class BlockRows:
         lengths = np.empty_like(starts)
         np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
         lengths[-1] = n - starts[-1]
-        run_slots = idx[starts]
+        # in intp: put writes new slots among these, past the index's width,
+        # and argsort and indexing take intp slots faster than int16 ones
+        run_slots = idx[starts].astype(np.intp)
         order = run_slots.argsort()
         ordered = run_slots[order]
         first = np.empty(len(starts), dtype=bool)
@@ -310,9 +319,12 @@ class BlockRows:
 
     def _reserve(self, count: int) -> int:
         """Make room for ``count`` new classes; the slot of the first.  May
-        replace ``self.rows``, so callers read it only after this returns."""
+        replace ``self.rows`` and widen ``self.index``, so callers read them
+        only after this returns."""
         start = self.held
         end = start + count
+        if end > _SLOTS16 and self.index.itemsize == 2:
+            self.index = self.index.astype(np.int32)
         if end > len(self.rows):
             capacity = min(max(2 * len(self.rows), end), self.index.size + 1)
             rows = np.zeros((capacity, N_ALPHA))
@@ -340,7 +352,7 @@ class BlockRows:
         if len(empty) > len(reused):
             live = np.ones(self.held, dtype=bool)
             live[empty[len(reused):]] = False
-            self.index = (np.cumsum(live, dtype=np.int32) - 1)[self.index]
+            self.index = (np.cumsum(live, dtype=self.index.dtype) - 1)[self.index]
             kept = np.count_nonzero(live)
             self.rows[:kept] = self.rows[: self.held][live]
             self.rows[kept : self.held] = 0.0
@@ -355,7 +367,7 @@ class BlockRows:
         blocks = np.flatnonzero(other.index)
         if not blocks.size:
             return
-        # in intp: the pair key of two int32 slots overflows int32
+        # in intp: the pair key of two slots overflows the index's width
         pairs, keys = np.unique(
             self.index[blocks].astype(np.intp) * other.held + other.index[blocks], return_inverse=True
         )

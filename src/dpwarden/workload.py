@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -489,14 +489,21 @@ def tracked_months(cfg: WorkloadConfig) -> list[int]:
     return list(range(max(0, cfg.start_month - cfg.month_window + 1), last + 1))
 
 
-def generate_workload(cfg: WorkloadConfig, schema: WorkloadSchema | None = None) -> list[list[ReleaseRequest]]:
-    """Per-round request batches; deterministic in the configured seed."""
-    schema = schema or build_schema(cfg)
+def generate_workload(cfg: WorkloadConfig, schema: WorkloadSchema | None = None) -> Iterator[list[ReleaseRequest]]:
+    """Per-round request batches, deterministic in the configured seed: a
+    generator that draws each round's batch only when it is asked for, so a
+    caller that drops a batch before asking for the next holds one round at
+    a time."""
+    return _rounds(cfg, schema or build_schema(cfg))
+
+
+def _rounds(cfg: WorkloadConfig, schema: WorkloadSchema) -> Iterator[list[ReleaseRequest]]:
+    """``generate_workload``'s batches, drawn round by round from one rng:
+    the same draws, in the same order, as drawing every round up front."""
     rng = np.random.default_rng([cfg.rng_seed, 23])
     mech_names = sorted(cfg.mechanisms)
     # one cost curve per (mechanism, level), shared by its requests
     curves: dict[tuple[str, float], RDP] = {}
-    rounds: list[list[ReleaseRequest]] = []
     for r in range(1, cfg.rounds + 1):
         current = month_of_round(cfg, r)
         batch: list[ReleaseRequest] = []
@@ -549,8 +556,7 @@ def generate_workload(cfg: WorkloadConfig, schema: WorkloadSchema | None = None)
                     utility,
                 )
             )
-        rounds.append(batch)
-    return rounds
+        yield batch
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +616,10 @@ class ScenarioResult:
 
 class _Scope:
     """Post-hoc per-scope accounting: a monitor-only filter whose ``_acc`` is
-    a ``BlockRows`` store, one RDP row per class of blocks charged alike.  A
-    scope that an active rule enforces reads that rule's store (``share``),
-    which only the commit charges; any other is charged through ``add``.
+    a ``BlockRows`` store, one RDP row per class of blocks charged alike.
+    ``share`` sets it: a scope that an active rule enforces reads that rule's
+    store, which only the commit charges; any other gets a store of its own,
+    charged through ``add``.
 
     A report takes the max epsilon over the held class rows.  The zero row of
     the uncharged blocks is among them, and moves no max, as a charged row's
@@ -627,13 +634,14 @@ class _Scope:
         self.bound = bound
         self.month = month
         self.delta = cfg.delta_budget
-        self._acc = BlockRows(cfg.pa_domain_size)
+        self._acc: BlockRows | None = None  # set by ``share``
 
     def share(self, point: DecisionPoint) -> bool:
-        """Read the store of the rule of ``point`` enforcing this scope, if any."""
+        """Read the store of the rule of ``point`` enforcing this scope, if
+        any; else build the scope's own, over ``point``'s domain.  True if
+        the scope shares a rule's store."""
         store = None if self.month is not None else point.ledger(self.predicate, self.unit)
-        if store is not None:
-            self._acc = store
+        self._acc = BlockRows(point.state.domain.domain_size) if store is None else store
         return store is not None
 
     def add(self, request: ReleaseRequest, matched: frozenset[int]) -> None:
@@ -731,20 +739,18 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
 
     reports: list[RoundReport] = []
     cumulative_utility = 0.0
-    for round_no, batch in enumerate(generate_workload(cfg, schema), start=1):
+    # each round's batch is held only while it is offered, so a round is
+    # dropped before the next is drawn.  The rounds come from ``_rounds``, not
+    # through ``generate_workload``: a wrapper of that name which reads the
+    # batches it returns, as perfbench's tracer counts them, would drain them
+    rounds = _rounds(cfg, schema)
+    for round_no in range(1, cfg.rounds + 1):
         if time_axis is not None:
             month = month_of_round(cfg, round_no)
             if month > point.state.now:
                 point.advance_time(month)
         unlocked = min(1.0, round_no / cfg.unlock_rounds)
-        round_utility = 0.0
-        for request in sorted(batch, key=lambda q: -q.utility):
-            decision = point.process(request, budget_scale=unlocked)
-            if decision.accepted:
-                round_utility += request.utility
-                for scope, matched in zip(own, scope_index.match(request.mechanisms)):
-                    if matched:
-                        scope.add(request, matched)
+        round_utility = _offer_round(point, next(rounds), unlocked, own, scope_index)
         cumulative_utility += round_utility
         reports.append(
             RoundReport(
@@ -755,6 +761,22 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
             )
         )
     return ScenarioResult(cfg, mode, reports)
+
+
+def _offer_round(point: DecisionPoint, batch: list[ReleaseRequest], unlocked: float,
+                 own: list[_Scope], scope_index: RuleIndex) -> float:
+    """Offer a round's requests by descending utility, charge the scopes
+    that keep their own store with each accepted one, and return the
+    utility accepted."""
+    utility = 0.0
+    for request in sorted(batch, key=lambda q: -q.utility):
+        decision = point.process(request, budget_scale=unlocked)
+        if decision.accepted:
+            utility += request.utility
+            for scope, matched in zip(own, scope_index.match(request.mechanisms)):
+                if matched:
+                    scope.add(request, matched)
+    return utility
 
 
 # ---------------------------------------------------------------------------

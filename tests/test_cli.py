@@ -635,7 +635,7 @@ def desk_stream(tmp_path_factory):
     check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
              "--blocks", str(cfg.pa_domain_size)]
     verdicts = []
-    for q in sorted(generate_workload(cfg)[0], key=lambda q: -q.utility)[:12]:
+    for q in sorted(next(generate_workload(cfg)), key=lambda q: -q.utility)[:12]:
         request.write_text(json.dumps(q.to_dict()))
         rc = main(check)
         assert rc in (0, 1)

@@ -938,24 +938,113 @@ def test_block_rows_maximum_of_many_classes_matches_a_dense_oracle():
     assert stores[0].index.dtype == np.int32
 
 
-def test_block_rows_index_stays_int32():
-    """Loaded from the state text, merged by ``maximum`` and renumbered by
-    ``_regroup``, a store keeps an int32 block index."""
-    domain = 6
-    state = FilterState(BlockDomain(("pa",), domain))
-    store = state.ensure("r", CELL_STATIC)
-    fill(store, _ROW_POOL[[1, 2, 1, 2, 0, 1]])
-    assert store.index.dtype == np.int32
-    for loaded in (FilterState.from_json(state.to_json()), FilterState.from_dict(json.loads(state.to_json()))):
-        assert loaded.array("r", CELL_STATIC).index.dtype == np.int32
-    other = BlockRows(domain)
-    fill(other, np.arange(domain * N_ALPHA, dtype=float).reshape(domain, N_ALPHA))
+# an int16 block index holds slots 0 .. 2**15 - 1
+_SLOTS16 = 2**15
+
+
+def _near_the_int16_limit():
+    """A store of 32,766 two-block classes beside the zero row, whose next
+    new slot is the last one an int16 index holds, and its dense oracle.
+    Blocks past the classes stay uncharged."""
+    pairs = _SLOTS16 - 2
+    domain = 2 * pairs + 64
+    store, oracle = BlockRows(domain), np.zeros((domain, N_ALPHA))
+    blocks = np.arange(2 * pairs)
+    rows = np.repeat(np.arange(1.0, pairs + 1), 2)[:, None] * np.linspace(0.5, 1.0, N_ALPHA)
+    store.put(blocks, rows)
+    oracle[blocks] = rows
+    assert store.held == _SLOTS16 - 1
+    return store, oracle
+
+
+def _assert_index(store, oracle, widened: bool) -> None:
+    """The store reads as its oracle, and its index is int16 until a slot
+    past the int16 range has been used, int32 from then on; never intp."""
+    assert dense(store).tobytes() == oracle.tobytes()
+    _assert_classes(store)
+    assert store.index.dtype == (np.int32 if widened else np.int16)
+
+
+@pytest.mark.parametrize("grouping,selections", [
+    # uncharged blocks: one class, split off twice
+    (type(None), [np.arange(2 * _SLOTS16 + 4, 2 * _SLOTS16 + 14), np.arange(2 * _SLOTS16 + 14, 2 * _SLOTS16 + 24)]),
+    (list, [np.array([0, 2, 4])]),  # half of each of three classes
+    (tuple, [np.arange(0, 40, 2)]),  # half of each of twenty classes
+])
+def test_block_rows_index_widens_once_a_slot_passes_int16(grouping, selections):
+    """A charge that moves blocks into new classes past slot 32,767, through
+    ``put``'s one-run, few-runs and sorted paths alike."""
+    store, oracle = _near_the_int16_limit()
+    _assert_index(store, oracle, widened=False)
+    for k, sel in enumerate(selections):
+        classes, rows = store.gather(sel)
+        assert isinstance(classes[2], grouping)
+        rows += (k + 1) * 0.125
+        store.put(sel, rows, classes)
+        oracle[sel] += (k + 1) * 0.125
+        _assert_index(store, oracle, widened=store.held > _SLOTS16)
+    assert store.held > _SLOTS16
+
+
+def test_block_rows_index_widens_when_rows_are_put_block_by_block():
+    """``put`` without classes (``_regroup``) makes twenty classes past the
+    limit; then emptying five classes renumbers 32,783 live ones, past the
+    int16 range."""
+    store, oracle = _near_the_int16_limit()
+    fresh = np.arange(len(oracle) - 20, len(oracle))
+    rows = np.arange(20.0)[:, None] + np.full(N_ALPHA, 0.25)
+    store.put(fresh, rows)
+    oracle[fresh] = rows
+    _assert_index(store, oracle, widened=True)
+    held = store.held
+    whole = np.arange(10)  # classes 1 to 5, both blocks of each
+    store.put(whole, np.ones((10, N_ALPHA)))
+    oracle[whole] = 1.0
+    _assert_index(store, oracle, widened=True)
+    assert store.held == held - 4 > _SLOTS16
+
+
+def test_block_rows_index_widens_in_maximum_and_copy():
+    """``maximum`` splits twenty classes past the limit; a copy keeps its
+    original's index width, and widening a copy leaves the original alone."""
+    store, oracle = _near_the_int16_limit()
+    dup = store.copy()
+    _assert_index(dup, oracle, widened=False)
+    other = BlockRows(len(oracle))
+    other_rows = np.zeros((len(oracle), N_ALPHA))
+    other_rows[:40] = np.arange(1.0, 41.0)[:, None] * 1000.0
+    other_rows[:40:2] = 0.0  # even blocks keep their row, odd ones take the other's
+    fill(other, other_rows)
     store.maximum(other)
-    assert store.index.dtype == np.int32 and store.held == domain + 1
-    # one row for every block empties all classes but one: the rest are renumbered
-    store.put(np.arange(domain), np.ones((domain, N_ALPHA)))
-    assert store.held == 2 and store.index.tolist() == [1] * domain
-    assert store.index.dtype == np.int32
+    merged = np.maximum(oracle, other_rows)
+    _assert_index(store, merged, widened=True)
+    _assert_index(dup, oracle, widened=False)
+    again = store.copy()
+    _assert_index(again, merged, widened=True)
+    dup.add(np.arange(0, 40, 2), np.full(N_ALPHA, 0.5))
+    oracle[0:40:2] += 0.5
+    _assert_index(dup, oracle, widened=True)
+    _assert_index(store, merged, widened=True)
+
+
+def test_block_rows_index_width_survives_the_state_codec():
+    """A state written from an int16 store and from a widened one loads,
+    through ``from_json`` and ``from_dict`` alike, to the same rows, at the
+    width its class count needs; the text does not depend on the width."""
+    store, oracle = _near_the_int16_limit()
+    for widen in (False, True):
+        if widen:
+            sel = np.arange(0, 40, 2)
+            store.add(sel, np.full(N_ALPHA, 0.5))
+            oracle[sel] += 0.5
+        state = FilterState(BlockDomain(("pa",), len(oracle)))
+        state._cells = {"r": {CELL_STATIC: store}}
+        text = state.to_json()
+        assert text == json.dumps(state.to_dict())
+        assert json.loads(text)["cells"] == _dense_cells_doc(oracle)
+        for loaded in (FilterState.from_json(text), FilterState.from_dict(json.loads(text))):
+            _assert_index(loaded.array("r", CELL_STATIC), oracle, widened=widen)
+            assert loaded.to_json() == text
 
 
 def test_a_domain_past_an_int32_index_is_refused_before_allocating(monkeypatch):

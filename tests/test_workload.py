@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpwarden.accounting import gaussian_curve, pure_curve, rdp_epsilon, zero_curve
 from dpwarden.core import HasLabel, LabelSet, Mechanism, ReleaseRequest
-from dpwarden.decision import RuleIndex
+from dpwarden.decision import BlockDomain, DecisionPoint, RuleIndex
 from dpwarden.errors import ConfigError, DPWardenError
 from dpwarden.workload import (
     DEFAULT_MECHANISMS,
@@ -126,13 +126,67 @@ def test_sampler_draws_what_numpy_choice_draws(weights, data, seed):
 
 def test_workload_determinism():
     cfg = small_cfg()
-    w1 = generate_workload(cfg)
-    w2 = generate_workload(cfg)
+    w1 = list(generate_workload(cfg))
+    w2 = list(generate_workload(cfg))
     assert [[q.to_dict() for q in batch] for batch in w1] == [
         [q.to_dict() for q in batch] for batch in w2
     ]
-    other = generate_workload(small_cfg(rng_seed=8))
+    other = list(generate_workload(small_cfg(rng_seed=8)))
     assert [[q.to_dict() for q in b] for b in w1] != [[q.to_dict() for q in b] for b in other]
+
+
+def test_run_scenario_holds_one_round_of_requests(monkeypatch):
+    """Rounds are drawn as they are offered, and each is dropped before the
+    next is drawn: when a round's first request is built, no request of an
+    earlier round is alive."""
+    import gc
+    import weakref
+
+    from dpwarden import workload
+
+    build = workload.ReleaseRequest
+    refs: dict[int, list] = {}
+    checked = []
+
+    def tracked(request_id, *args, **kwargs):
+        round_no = int(request_id[1:3])
+        if round_no not in refs:
+            gc.collect()
+            alive = [ref().request_id for r, round_refs in refs.items() for ref in round_refs if ref() is not None]
+            assert alive == [], f"drawing round {round_no} while {alive} are alive"
+            checked.append(round_no)
+            refs[round_no] = []
+        request = build(request_id, *args, **kwargs)
+        refs[round_no].append(weakref.ref(request))
+        return request
+
+    monkeypatch.setattr(workload, "ReleaseRequest", tracked)
+    cfg = small_cfg(rounds=5)
+    result = run_scenario(cfg)
+    assert len(result.reports) == cfg.rounds
+    assert len(checked) >= 3 and sum(map(len, refs.values())) > 20
+
+
+@pytest.mark.parametrize("total_epsilon,own", [(20.0, 0), (3.0, 18)])
+def test_a_scope_builds_its_own_store_only_when_no_rule_enforces_it(total_epsilon, own, monkeypatch):
+    """Desk s2 dpolicy: at ε 20 every one of the 19 scopes reads its rule's
+    store, so no scope builds a store; at ε 3 pruning leaves the global
+    scope's rule alone, and the other 18 scopes build one each."""
+    from dpwarden import workload
+    from dpwarden.decision import BlockRows
+
+    built = []
+
+    class Counted(BlockRows):
+        def __init__(self, domain_size):
+            built.append(domain_size)
+            super().__init__(domain_size)
+
+    monkeypatch.setattr(workload, "BlockRows", Counted)
+    cfg = WorkloadConfig.desk_scale("s2", total_epsilon, 0)
+    result = run_scenario(cfg, "dpolicy")
+    assert len(result.reports[0].scopes) == 19
+    assert built == [cfg.pa_domain_size] * own
 
 
 def test_scenario_run_determinism(tmp_path):
@@ -334,6 +388,7 @@ def test_incremental_scope_report_equals_full_recompute(month, steps):
     """``None`` steps are reports; several may follow one another."""
     cfg = small_cfg(pa_domain_size=_SCOPE_DOMAIN, pa_range_unit=2)
     scope = _Scope("s", HasLabel("kind", "charged"), "user", 1.0, cfg, month=month)
+    assert not scope.share(DecisionPoint([], domain=BlockDomain(("pa",), _SCOPE_DOMAIN)))
     index = RuleIndex([scope])
     last = 0.0
     for step in [*steps, None]:
@@ -421,7 +476,7 @@ def test_state_and_scopes_hold_rows_only_for_charged_blocks():
     own = [scope for scope in scopes if not scope.share(point)]
     index = RuleIndex(own)
     accepted = 0
-    for request in generate_workload(cfg, schema)[0]:
+    for request in next(generate_workload(cfg, schema)):
         if point.process(request).accepted:
             accepted += 1
             for scope, matched in zip(own, index.match(request.mechanisms)):
