@@ -274,7 +274,7 @@ class BlockRows:
         elif isinstance(runs, list):
             size = self.size
             split = [not slot or count != size[slot] for slot, count in zip(slots, counts)]
-            moved = sum(split)
+            moved = split.count(True)  # an int: summing numpy bools gives np.int64
             if not moved:
                 self.rows[slots] = rows
                 return

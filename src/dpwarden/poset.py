@@ -4,14 +4,20 @@ pruning.
 Rules compare through their decomposed order keys: base-scope part (attribute
 sets by subset, admin integer tuples componentwise, conjunctive-atom sets by
 superset), one rank per extension policy, and the declared unit order.  The
-decomposition lets poset construction memoize base-key comparisons so only
-O(|base keys|^2 + sum |extensions|^2) predicate-level comparisons happen.
+decomposition lets poset construction compare only distinct values: the
+order among distinct base keys, among distinct extension-rank tuples and
+among distinct units is computed once each (attribute and atom sets as
+packed bitsets, a block of rows at a time), and the rule order is gathered
+from the three boolean matrices.  The Python work grows with the distinct
+values, the numpy work with n^2 rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .accounting import group_privacy
 from .core import (
@@ -66,7 +72,9 @@ def rule_leq(r1: Rule, r2: Rule, units: UnitGraph) -> bool:
 
 @dataclass
 class ComparisonStats:
-    """Instrumentation: predicate-level (base-key) comparisons performed."""
+    """Instrumentation: the distinct base-key pairs a != b that some rule
+    pair passing the extension and unit tests compares (0 for a poset
+    restricted from another), and the distinct base keys."""
 
     base_comparisons: int = 0
     distinct_base_keys: int = 0
@@ -102,8 +110,81 @@ class RulePoset:
         ))
 
 
+_BLOCK_BYTES = 1 << 20
+
+
+def _tuple_order(tuples: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """``m[a, b]``: ``tuples[a] <= tuples[b]`` componentwise; the tuples are
+    of one length."""
+    m = np.ones((len(tuples), len(tuples)), dtype=bool)
+    if tuples:
+        for column in np.array(tuples).T:
+            m &= column[:, None] <= column
+    return m
+
+
+def _subset_order(sets: Sequence[frozenset]) -> np.ndarray:
+    """``m[a, b]``: ``sets[a] <= sets[b]``, through packed membership bits
+    compared a block of rows at a time."""
+    bit: dict = {}
+    member = []
+    for values in sets:
+        member.append([bit.setdefault(v, len(bit)) for v in values])
+    # 64 members to a word
+    bits = np.zeros((len(sets), -(-len(bit) // 64) * 64), dtype=bool)
+    for row, cols in enumerate(member):
+        bits[row, cols] = True
+    bits = np.packbits(bits, axis=1).view(np.uint64)
+    outside = ~bits
+    m = np.empty((len(sets), len(sets)), dtype=bool)
+    # a block of rows at a time, each against every set: about 1 MB of temporary
+    step = max(1, _BLOCK_BYTES // max(1, bits.nbytes))
+    for top in range(0, len(sets), step):
+        rows = bits[top : top + step, None, :] & outside
+        np.logical_not(rows.any(axis=2), out=m[top : top + step])
+    return m
+
+
+def _base_order(base_keys: Sequence[tuple[str, object]]) -> np.ndarray:
+    """``m[a, b]``: ``_base_leq`` of distinct base keys a and b, with
+    incomparable keys read as False."""
+    kinds = [kind for kind, _ in base_keys]
+    m = np.zeros((len(base_keys), len(base_keys)), dtype=bool)
+    m[:, [k == BASE_TOP for k in kinds]] = True
+    groups: dict[tuple, list[int]] = {}
+    for a, (kind, value) in enumerate(base_keys):
+        if kind != BASE_TOP:
+            groups.setdefault((kind, len(value) if kind == BASE_RANKS else 0), []).append(a)
+    for (kind, _), ids in groups.items():
+        values = [base_keys[a][1] for a in ids]
+        if kind == BASE_ATTRS:
+            block = _subset_order(values)
+        elif kind == BASE_ATOMS:
+            # more atoms conjoined = narrower scope
+            block = _subset_order(values).T
+        else:
+            block = _tuple_order(values)
+        m[np.ix_(ids, ids)] = block
+    return m
+
+
+def _distinct(values: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` in first-seen order, and each value's id."""
+    ids: dict = {}
+    which = [ids.setdefault(v, len(ids)) for v in values]
+    return list(ids), np.array(which, dtype=np.intp)
+
+
 def build_poset(rules: Sequence[Rule], units: UnitGraph) -> RulePoset:
-    """Compute the order relation with memoized base-key comparisons."""
+    """Compute the order relation as an n x n boolean matrix.
+
+    Each distinct base key, extension-rank tuple and unit is compared once
+    with every other (``ComparisonStats.base_comparisons`` counts the
+    distinct base-key pairs a != b whose rules pass the extension and unit
+    tests), and rule i <= rule j is read from the three orders at the ids of
+    the two rules' values.  Equals ``rule_leq`` on every pair, with
+    incomparable keys read as False.
+    """
     check_unique_ids(rules)
     keys: list[OrderKey] = []
     for r in rules:
@@ -116,48 +197,22 @@ def build_poset(rules: Sequence[Rule], units: UnitGraph) -> RulePoset:
     if len(arities) > 1:
         raise ValidationError("rules compiled with different extension-policy counts")
 
-    stats = ComparisonStats()
-    base_ids: dict[tuple, int] = {}
-    which: list[int] = []
-    for k in keys:
-        bk = (k.base_kind, k.base_value)
-        if bk not in base_ids:
-            base_ids[bk] = len(base_ids)
-        which.append(base_ids[bk])
-    uniq = list(base_ids)
-    stats.distinct_base_keys = len(uniq)
-
-    cache: dict[tuple[int, int], bool] = {}
-
-    def base_leq_cached(a: int, b: int) -> bool:
-        if a == b:
-            return True
-        got = cache.get((a, b))
-        if got is None:
-            stats.base_comparisons += 1
-            k1, v1 = uniq[a]
-            k2, v2 = uniq[b]
-            try:
-                got = _base_leq(k1, v1, k2, v2)
-            except IncomparableKeys:
-                got = False
-            cache[(a, b)] = got
-        return got
-
-    n = len(rules)
-    ups: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        ki = keys[i]
-        for j in range(n):
-            if i == j:
-                continue
-            kj = keys[j]
-            if not all(a <= b for a, b in zip(ki.ext_ranks, kj.ext_ranks)):
-                continue
-            if not units.leq(ki.unit, kj.unit):
-                continue
-            if base_leq_cached(which[i], which[j]):
-                ups[i].add(j)
+    base_keys, base = _distinct((k.base_kind, k.base_value) for k in keys)
+    ext_ranks, ext = _distinct(k.ext_ranks for k in keys)
+    unit_names, unit = _distinct(k.unit for k in keys)
+    unit_order = np.array(
+        [[units.leq(a, b) for b in unit_names] for a in unit_names], dtype=bool
+    ).reshape(len(unit_names), len(unit_names))
+    # rule pairs i != j that pass the extension and unit tests
+    passing = _tuple_order(ext_ranks)[ext[:, None], ext] & unit_order[unit[:, None], unit]
+    np.fill_diagonal(passing, False)
+    reached = np.zeros((len(base_keys), len(base_keys)), dtype=bool)
+    i, j = passing.nonzero()
+    reached[base[i], base[j]] = True
+    np.fill_diagonal(reached, False)
+    stats = ComparisonStats(int(np.count_nonzero(reached)), len(base_keys))
+    leq = passing & _base_order(base_keys)[base[:, None], base]
+    ups = [set(row.nonzero()[0].tolist()) for row in leq]
     return RulePoset(rules, units, ups, stats)
 
 
@@ -255,8 +310,12 @@ def prune_with_report(poset: RulePoset) -> tuple[RulePoset, list[PruneRecord]]:
         else:
             j, implied = witness
             records.append(PruneRecord(poset.rules[i].rule_id, poset.rules[j].rule_id, implied))
-    sub = build_poset([poset.rules[i] for i in active], poset.units)
-    return sub, records
+    # the active rules' relation is the parent's restricted to them: no comparison
+    position = {i: k for k, i in enumerate(active)}
+    ups = [{position[j] for j in poset.ups[i] if j in position} for i in active]
+    rules = [poset.rules[i] for i in active]
+    distinct = len({(r.order_key.base_kind, r.order_key.base_value) for r in rules})
+    return RulePoset(rules, poset.units, ups, ComparisonStats(0, distinct)), records
 
 
 def prune(poset: RulePoset) -> RulePoset:

@@ -922,6 +922,19 @@ def test_block_rows_group_the_runs_of_a_selection(runs, part):
     assert (store.index[sel] == before[sel]).all() == (not split)
 
 
+def test_block_rows_held_stays_an_int_when_few_runs_split():
+    """A charge grouped in the few-runs loop that splits classes counts the
+    classes it makes as a Python int, not as a numpy scalar."""
+    store = BlockRows(10)
+    store.add(np.arange(6), np.full(N_ALPHA, 1.0))
+    sel = np.arange(4, 8)  # the end of the charged class, then uncharged blocks
+    classes, rows = store.gather(sel)
+    assert isinstance(classes[2], list) and len(classes[0]) == 2
+    store.put(sel, rows + 1.0, classes)
+    assert store.held == 4
+    assert type(store.held) is int
+
+
 def test_block_rows_maximum_of_many_classes_matches_a_dense_oracle():
     """Two stores of 70,000 one-block classes: the key that pairs a block's
     two classes, 70,000 * 70,001 + 70,000 at most, passes 2**31."""

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import (
@@ -10,6 +11,7 @@ from dpwarden.core import (
     BASE_ATOMS,
     BASE_ATTRS,
     BASE_RANKS,
+    BASE_TOP,
     HasLabel,
     OrderKey,
     PrivacyUnit,
@@ -21,6 +23,7 @@ from dpwarden.core import (
 )
 from dpwarden.errors import IncomparableKeys, ValidationError
 from dpwarden.poset import (
+    ComparisonStats,
     build_poset,
     is_non_constraining,
     lower_cover,
@@ -34,7 +37,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _util import hasse_fixture, random_rule_set  # noqa: E402
+from _util import hasse_fixture, random_rule_set, unit_layout  # noqa: E402
 
 
 def _user():
@@ -314,3 +317,87 @@ def test_build_poset_refuses_duplicate_rule_ids(document):
     rules = compile_policy_set(ps)
     with pytest.raises(ValidationError, match=re.escape(f"duplicate rule id {rule_id!r}")):
         build_poset(rules, ps.unit_graph())
+
+
+def _pairwise_relation(rules, units):
+    """ups and stats by their pairwise definitions: rule_leq on every
+    ordered pair, with incomparable keys read as False, and the distinct
+    base-key pairs a != b whose rules pass the extension and unit tests."""
+
+    def leq(ri, rj):
+        try:
+            return rule_leq(ri, rj, units)
+        except IncomparableKeys:
+            return False
+
+    def base(r):
+        return (r.order_key.base_kind, r.order_key.base_value)
+
+    ups = [{j for j, rj in enumerate(rules) if j != i and leq(ri, rj)} for i, ri in enumerate(rules)]
+    reached = {
+        (base(ri), base(rj))
+        for ri in rules
+        for rj in rules
+        if base(ri) != base(rj)
+        and all(a <= b for a, b in zip(ri.order_key.ext_ranks, rj.order_key.ext_ranks))
+        and units.leq(ri.unit, rj.unit)
+    }
+    return ups, ComparisonStats(len(reached), len({base(r) for r in rules}))
+
+
+def _assert_matches_pairwise(rules, units):
+    poset = build_poset(rules, units)
+    ups, stats = _pairwise_relation(rules, units)
+    assert poset.rules == tuple(rules)
+    assert poset.ups == ups
+    assert poset.stats == stats
+    # pruning restricts that relation to the active rules and compares nothing
+    active = prune(poset)
+    active_ups, active_stats = _pairwise_relation(list(active.rules), units)
+    assert active.ups == active_ups
+    assert active.stats == ComparisonStats(0, active_stats.distinct_base_keys)
+
+
+_KINDS = (BASE_TOP, BASE_ATTRS, BASE_ATOMS, BASE_RANKS)
+
+
+@st.composite
+def _keyed_rule_sets(draw):
+    """Rules with keys of all four base kinds, mixed in one set, ``ranks``
+    tuples of unequal lengths, one extension-rank arity per set and a unit
+    layout from ``unit_layout``; the set may be empty."""
+    units = unit_layout(np.random.default_rng(draw(st.integers(0, 2**16))))
+    names = sorted(units.units)
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4, unique=True))
+    arity = draw(st.integers(0, 2))
+    small = st.integers(0, 2)
+    values = {
+        BASE_TOP: st.just(()),
+        BASE_ATTRS: st.frozensets(st.sampled_from([f"a{i}" for i in range(5)]), max_size=4),
+        BASE_ATOMS: st.frozensets(st.tuples(st.sampled_from("kl"), st.sampled_from("uvw")), max_size=3),
+        BASE_RANKS: st.lists(small, min_size=0, max_size=3).map(tuple),
+    }
+    rules = []
+    for i in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        unit = draw(st.sampled_from(names))
+        key = OrderKey(kind, draw(values[kind]), tuple(draw(small) for _ in range(arity)), unit)
+        budget = ADP(draw(st.sampled_from([1.0, 2.0])), 1e-7)
+        rules.append(Rule(f"r{i}", TruePredicate(), unit, budget, Provenance("prop", i), key))
+    return rules, units
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keyed_rule_sets())
+def test_build_poset_equals_the_pairwise_order(drawn):
+    _assert_matches_pairwise(*drawn)
+
+
+def test_build_poset_equals_the_pairwise_order_at_paper_scale():
+    from dpwarden.workload import WorkloadConfig, build_policy_document, build_schema
+
+    cfg = WorkloadConfig.paper_scale("s2", 10.0, 0)
+    ps = parse_policy_set(build_policy_document(cfg, build_schema(cfg)))
+    rules = compile_policy_set(ps)
+    assert len(rules) == 181
+    _assert_matches_pairwise(rules, ps.unit_graph())
