@@ -25,7 +25,6 @@ from .core import (
 )
 from .accounting import (
     calibrate_gaussian_rho,
-    compose_adp_basic,
     compose_rdp,
     convert_unit,
     epsilon_for_auxiliary_unit,

@@ -6,17 +6,25 @@ and runs an RDP privacy filter for every (block, time-cell) a request
 touches.  ``DecisionPoint`` is the one place that turns a rule set into an
 index, and it validates the set there, before any state exists: one active
 rule per id, as ids key the filter state, and only budgets a filter can
-check.  The free functions of each stage take that index.  The rule poset
-is a compile-time structure for pruning and DOT export; it plays no part
-here.  Commits are all-or-nothing: a rejected request leaves the filter
-state untouched.
+check.  Then each index makes its check plans, one per rule: what a check
+would otherwise derive from the rule on every request (its unit, whether
+that is the time axis' unit, and its budget's ``accounting.budget_terms``).
+The free functions of each stage take that index.  The rule poset is a
+compile-time structure for pruning and DOT export; it plays no part here.
+
+A check walks only the rules that match, composes each distinct (unit,
+matched mechanisms) cost once, and gives each store one verdict,
+``accounting.rows_within``, over the composed rows of the classes its
+selection meets.  Commits are all-or-nothing: a rejected request leaves the
+filter state untouched.  Accepting decisions are shared, immutable values.
 
 Each (rule, time cell) filter keeps its RDP rows in a ``BlockRows`` store,
 one row per class of blocks charged alike: releases charge whole block
 ranges, so a check composes and tests one row per class its selection
 meets, not one per block.  ``FilterState.to_json``/``from_json`` are the
 state file's text form, the one the CLI reads and writes; they encode and
-parse each class row once.
+parse each class row once, and check a cell's name against the time window
+by its step, without listing the window.
 """
 
 from __future__ import annotations
@@ -24,11 +32,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .accounting import check_enforceable, rdp_epsilon, scale_budget, within_budget
+from .accounting import budget_terms, check_enforceable, rdp_epsilon, rows_within, scale_budget
 from .core import (
     ADP,
     ATTR_KEY,
@@ -100,6 +109,11 @@ class BlockDomain:
         object.__setattr__(self, "partitioning_attributes", tuple(self.partitioning_attributes))
         if self.domain_size < 1:
             raise ValidationError("domain size must be >= 1")
+
+    @property
+    def time_unit(self) -> str | None:
+        """The unit of the time axis, if there is one."""
+        return self.time_axis.unit if self.time_axis is not None else None
 
     def to_dict(self) -> dict:
         d = {
@@ -187,9 +201,11 @@ class BlockRows:
         """Bytes allocated: the block index plus the class capacity."""
         return self.index.nbytes + self.rows.nbytes + self.size.nbytes
 
-    def gather(self, blocks: np.ndarray) -> tuple[tuple, np.ndarray]:
+    def gather(self, blocks: np.ndarray | slice) -> tuple[tuple, np.ndarray]:
         """The classes that the distinct ``blocks`` fall in, and a copy of
-        their rows, one per class, for ``put`` to take back.
+        their rows, one per class, for ``put`` to take back.  ``blocks`` is
+        a sorted array, or a slice for a range of blocks: the index is then
+        read as a view and written through slices.
 
         Blocks charged alike lie in runs of one slot along a sorted
         selection, so the classes are grouped from the runs: in a loop when
@@ -201,12 +217,13 @@ class BlockRows:
         """
         idx = self.index[blocks]
         n = len(idx)
-        last = (idx[1:] != idx[:-1]).nonzero()[0]  # the last block of each run but the final one
-        if not last.size:
-            if not n:
-                return ([], [], None), self.rows[:0].copy()
-            slot = int(idx[0])
+        if not n:
+            return ([], [], None), self.rows[:0].copy()
+        raw = idx.tobytes()
+        if raw == raw[: idx.itemsize] * n:  # one run: a byte compare, cheaper than any numpy test
+            slot = idx.item(0)
             return ([slot], [n], None), self.rows[slot : slot + 1].copy()
+        last = (idx[1:] != idx[:-1]).nonzero()[0]  # the last block of each run but the final one
         if last.size < _FEW_RUNS:
             position: dict[int, int] = {}
             slots: list[int] = []
@@ -214,7 +231,7 @@ class BlockRows:
             runs = []
             start = 0
             for end in [*(last + 1).tolist(), n]:
-                slot = int(idx[start])
+                slot = idx.item(start)
                 k = position.get(slot)
                 if k is None:
                     k = position[slot] = len(slots)
@@ -244,7 +261,7 @@ class BlockRows:
         slots = ordered[at]
         return (slots, np.add.reduceat(lengths[order], at), (run_slots, lengths)), self.rows.take(slots, axis=0)
 
-    def put(self, blocks: np.ndarray, rows: np.ndarray, classes: tuple | None = None) -> None:
+    def put(self, blocks: np.ndarray | slice, rows: np.ndarray, classes: tuple | None = None) -> None:
         """Set the rows of the distinct ``blocks``: with ``classes`` from
         ``gather``, ``rows`` holds one row per class; without, one per block,
         and blocks given rows with equal bytes make one class.
@@ -263,7 +280,7 @@ class BlockRows:
             if not slots:
                 return
             slot, count = slots[0], counts[0]
-            if slot and count == self.size[slot]:
+            if slot and count == self.size.item(slot):
                 self.rows[slot : slot + 1] = rows
                 return
             fresh = self._reserve(1)
@@ -273,7 +290,7 @@ class BlockRows:
             self.index[blocks] = fresh
         elif isinstance(runs, list):
             size = self.size
-            split = [not slot or count != size[slot] for slot, count in zip(slots, counts)]
+            split = [not slot or count != size.item(slot) for slot, count in zip(slots, counts)]
             moved = split.count(True)  # an int: summing numpy bools gives np.int64
             if not moved:
                 self.rows[slots] = rows
@@ -289,9 +306,16 @@ class BlockRows:
                     fresh += 1
                 target.append(slot)
             self.rows[target] = rows
-            for start, end, k in runs:
-                if split[k]:
-                    self.index[blocks[start:end]] = target[k]
+            index = self.index
+            if isinstance(blocks, slice):
+                at = blocks.start
+                for start, end, k in runs:
+                    if split[k]:
+                        index[at + start : at + end] = target[k]
+            else:
+                for start, end, k in runs:
+                    if split[k]:
+                        index[blocks[start:end]] = target[k]
         else:
             split = (counts != self.size[slots]) | (slots == 0)
             moved = np.count_nonzero(split)
@@ -530,13 +554,20 @@ class FilterState:
             state.now = read_count(d.get("now", horizon), "now")
             if state.now < horizon:
                 raise ValidationError(f"state time step {state.now} is behind the horizon {horizon}")
-            addressable = {CELL_STATIC}
-            if state.domain.time_axis is not None:
-                addressable |= {CELL_HIST, CELL_FUTURE, *map(step_cell, state.granular_steps())}
+            steps = state.granular_steps()  # empty without a time axis
+            intervals = (CELL_HIST, CELL_FUTURE) if state.domain.time_axis is not None else ()
             n = state.domain.domain_size
             for rid, per_rule in d.get("cells", {}).items():
                 for cell, payload in per_rule.items():
-                    if cell not in addressable:
+                    # a step is read from its name and checked against the
+                    # window by arithmetic, so a wide window costs nothing
+                    # here; the name must be the one the step is written as
+                    step = _cell_step(cell)
+                    if not (
+                        cell == CELL_STATIC
+                        or cell in intervals
+                        or step is not None and step in steps and step_cell(step) == cell
+                    ):
                         raise ValidationError(f"state cell {rid}/{cell}: not a cell of this state")
                     blocks = np.asarray(payload["blocks"])
                     curves = payload["curves"]
@@ -659,6 +690,14 @@ class Decision:
 
 
 _NO_MECHANISMS: frozenset[int] = frozenset()
+# the match of every rule that the one mechanism of a request satisfies
+_FIRST_MECHANISM: frozenset[int] = frozenset({0})
+
+_STATIC_CELLS = (CELL_STATIC,)
+
+# accepting decisions are immutable, so every request shares them
+_PASSED = Decision(True, "per_release")
+_ACCEPTED = Decision(True, "accepted")
 
 
 def _atom(p: Predicate) -> Predicate:
@@ -673,6 +712,20 @@ def _atom(p: Predicate) -> Predicate:
     return p
 
 
+class _CheckPlan:
+    """What checking a rule derives from the rule alone, made once: its id
+    and unit, whether the unit is the time axis', and its budget's terms
+    (``accounting.budget_terms``)."""
+
+    __slots__ = ("rule_id", "unit", "time_based", "offsets", "bound")
+
+    def __init__(self, rule: Rule, time_unit: str | None):
+        self.rule_id = rule.rule_id
+        self.unit = rule.unit
+        self.time_based = rule.unit == time_unit
+        self.offsets, self.bound = budget_terms(rule.budget)
+
+
 class RuleIndex:
     """Rules indexed by the labels their predicates name, so that a label set
     finds the rules it satisfies without evaluating every predicate: the
@@ -684,10 +737,11 @@ class RuleIndex:
     one of these atoms, as extensions conjoin them, is indexed as that atom.
     Any other predicate (``And``, ``Or``, ``Not``) is evaluated with
     ``eval_predicate`` on each label set.  The items need only a
-    ``predicate`` and a ``unit``, so own-store simulator scopes use it too.
+    ``predicate`` and a ``unit``, so own-store simulator scopes use it too;
+    only an index of rules is checked, through its ``plans``.
     """
 
-    __slots__ = ("rules", "tracked_units", "_always", "_buckets", "_fallback")
+    __slots__ = ("rules", "tracked_units", "_always", "_buckets", "_fallback", "_plans")
 
     def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
@@ -696,6 +750,7 @@ class RuleIndex:
         self._always: list[int] = []
         self._buckets: dict[str, dict[str, list[int]]] = {}
         self._fallback: list[int] = []
+        self._plans: tuple[str | None, tuple[_CheckPlan, ...]] | None = None
         for i, rule in enumerate(self.rules):
             p = _atom(rule.predicate)
             if isinstance(p, TruePredicate):
@@ -712,13 +767,9 @@ class RuleIndex:
     def matching(self, labels: LabelSet) -> set[int]:
         """Indices of the rules whose predicate ``labels`` satisfies."""
         hits = set(self._always)
-        buckets = self._buckets
-        if buckets:
-            for key, values in labels.items():
-                by_value = buckets.get(key)
-                if by_value is not None:
-                    for v in values:
-                        hits.update(by_value.get(v, ()))
+        for key, by_value in self._buckets.items():
+            for v in labels.values(key):
+                hits.update(by_value.get(v, ()))
         for i in self._fallback:
             if eval_predicate(self.rules[i].predicate, labels):
                 hits.add(i)
@@ -726,33 +777,50 @@ class RuleIndex:
 
     def match(self, mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
         """Indices of the mechanisms matching each rule, in rule order."""
-        per_rule: dict[int, list[int]] = {}
+        per_rule = [_NO_MECHANISMS] * len(self.rules)
+        if len(mechanisms) == 1:
+            for i in self.matching(mechanisms[0].labels):
+                per_rule[i] = _FIRST_MECHANISM
+            return per_rule
+        hits: dict[int, list[int]] = {}
         for m, mech in enumerate(mechanisms):
             for i in self.matching(mech.labels):
-                per_rule.setdefault(i, []).append(m)
-        return [frozenset(per_rule[i]) if i in per_rule else _NO_MECHANISMS for i in range(len(self.rules))]
+                hits.setdefault(i, []).append(m)
+        for i, ms in hits.items():
+            per_rule[i] = frozenset(ms)
+        return per_rule
+
+    def plans(self, time_unit: str | None = None) -> tuple[_CheckPlan, ...]:
+        """One ``_CheckPlan`` per rule, in rule order, for a time axis over
+        ``time_unit``, or for none: made on the first call for that unit,
+        after refusing any budget that no filter can enforce."""
+        if self._plans is None or self._plans[0] != time_unit:
+            check_enforceable(self.rules)
+            self._plans = (time_unit, tuple(_CheckPlan(rule, time_unit) for rule in self.rules))
+        return self._plans[1]
 
 
 def check_per_release(request: ReleaseRequest, index: RuleIndex) -> Decision:
     """Stage one: every mechanism's own cost must fit every matching
     per-release rule.  Stateless."""
     if not index.rules:
-        return Decision(True, "per_release")
+        return _PASSED
+    plans = index.plans()
     violations = []
     for mech in request.mechanisms:
         for i in sorted(index.matching(mech.labels)):
-            rule = index.rules[i]
-            cost = mech.cost_by_unit.get(rule.unit)
+            plan = plans[i]
+            cost = mech.cost_by_unit.get(plan.unit)
             if cost is None:
                 raise MissingCost(
-                    f"request {request.request_id!r}: no cost for unit {rule.unit!r} "
-                    f"required by per-release rule {rule.rule_id!r}"
+                    f"request {request.request_id!r}: no cost for unit {plan.unit!r} "
+                    f"required by per-release rule {plan.rule_id!r}"
                 )
-            if not within_budget(cost.curve, rule.budget):
-                violations.append(Violation(rule.rule_id, "per_release"))
+            if not rows_within(np.array([cost.curve]), plan.offsets, plan.bound):
+                violations.append(Violation(plan.rule_id, "per_release"))
     if violations:
         return Decision(False, "per_release", tuple(violations))
-    return Decision(True, "per_release")
+    return _PASSED
 
 
 def match_rules(index: RuleIndex, mechanisms: Sequence[Mechanism]) -> list[frozenset[int]]:
@@ -772,61 +840,76 @@ def check_and_commit(
     budget_scale: float = 1.0,
 ) -> Decision:
     """Stage two: cumulative check of every matching rule of ``index`` on
-    every touched (block, time-cell), then an atomic commit on acceptance."""
+    every touched (block, time-cell), then an atomic commit on acceptance.
+
+    Each matching rule's cost is composed once per distinct unit and set of
+    matched mechanisms, in ascending mechanism order, and each (rule, cell)
+    store's class rows are gathered and composed once: the check reads the
+    composed rows, one ``rows_within`` verdict per store, and an accepted
+    commit writes them back."""
     # an unlock fraction may only shrink budgets; NaN would void them
     if not 0.0 <= budget_scale <= 1.0:
         raise ValidationError(f"budget scale must lie in [0, 1], got {budget_scale!r}")
+    domain = state.domain
     sel = request.pa_selection
-    if sel.size and sel[-1] >= state.domain.domain_size:
+    if sel.size and sel[-1] >= domain.domain_size:
         raise ValidationError(
             f"request {request.request_id!r}: block {int(sel[-1])} outside the domain "
-            f"of {state.domain.domain_size} blocks"
+            f"of {domain.domain_size} blocks"
         )
 
-    for mech in request.mechanisms:
+    mechanisms = request.mechanisms
+    for mech in mechanisms:
         missing = index.tracked_units.difference(mech.cost_by_unit)
         if missing:
             raise MissingCost(
                 f"request {request.request_id!r}: mechanism lacks costs for tracked units {sorted(missing)}"
             )
 
-    time_axis = state.domain.time_axis
-    matches = match_rules(index, request.mechanisms)
-
-    # each (rule, cell) store's class rows are gathered and composed once:
-    # the check reads the composed rows and an accepted commit writes them back
-    plan: list[tuple[str, str, BlockRows, tuple, np.ndarray]] = []
+    plans = index.plans(domain.time_unit)
+    matches = match_rules(index, mechanisms)
+    blocks = sel
+    if sel.size and sel.item(-1) - sel.item(0) + 1 == sel.size:
+        # one range of blocks: the stores read and write their index through slices
+        blocks = slice(sel.item(0), sel.item(-1) + 1)
+    cells_of = state._cells
+    costs: dict[tuple[str, frozenset[int]], np.ndarray] = {}
+    pending: list[tuple[str, str, BlockRows, tuple, np.ndarray]] = []
     violations: list[Violation] = []
-    for rule, mech_idx in zip(index.rules, matches):
-        if not mech_idx:
+    for plan, mech_idx in compress(zip(plans, matches), matches):
+        # cells_for runs on an empty selection too: it refuses an unknown step
+        cells = state.cells_for(True, request.time_step) if plan.time_based else _STATIC_CELLS
+        if not sel.size:
             continue
-        first, *rest = mech_idx
-        cost = np.array(request.mechanisms[first].cost_by_unit[rule.unit].curve)
-        for m in rest:
-            cost += request.mechanisms[m].cost_by_unit[rule.unit].curve
-        time_based = time_axis is not None and rule.unit == time_axis.unit
-        cells = state.cells_for(time_based, request.time_step)
-        if sel.size == 0:
-            continue
-        budget = scale_budget(rule.budget, budget_scale)
+        unit = plan.unit
+        cost = costs.get((unit, mech_idx))
+        if cost is None:
+            first, *rest = sorted(mech_idx)
+            cost = np.array(mechanisms[first].cost_by_unit[unit].curve)
+            for m in rest:
+                cost += mechanisms[m].cost_by_unit[unit].curve
+            costs[unit, mech_idx] = cost
+        bound = plan.bound if budget_scale == 1.0 else plan.bound * budget_scale
+        rule_id = plan.rule_id
+        per_rule = cells_of.get(rule_id, {})
         for cell in cells:
-            # a store is made here, not at commit, so that a domain too
-            # large to index fails before the state changes
-            store = state.array(rule.rule_id, cell)
+            store = per_rule.get(cell)
             if store is None:
-                store = BlockRows(state.domain.domain_size)
-            classes, rows = store.gather(sel)
+                # a store is made here, not at commit, so that a domain too
+                # large to index fails before the state changes
+                store = BlockRows(domain.domain_size)
+            classes, rows = store.gather(blocks)
             rows += cost
-            if not within_budget(rows, budget).all():
-                violations.append(Violation(rule.rule_id, "cumulative", cell))
-            plan.append((rule.rule_id, cell, store, classes, rows))
+            if not rows_within(rows, plan.offsets, bound):
+                violations.append(Violation(rule_id, "cumulative", cell))
+            pending.append((rule_id, cell, store, classes, rows))
 
     if violations:
         return Decision(False, "cumulative", tuple(violations))
-    for rule_id, cell, store, classes, rows in plan:
-        state._cells.setdefault(rule_id, {})[cell] = store
-        store.put(sel, rows, classes)
-    return Decision(True, "accepted")
+    for rule_id, cell, store, classes, rows in pending:
+        cells_of.setdefault(rule_id, {})[cell] = store
+        store.put(blocks, rows, classes)
+    return _ACCEPTED
 
 
 def headroom(state: FilterState, index: RuleIndex, budget_scale: float = 1.0) -> dict[str, dict]:
@@ -872,11 +955,14 @@ class DecisionPoint:
         """``rules`` are the active rules: a sequence, or the pruned poset
         that holds them.  The rule set is checked before any state exists:
         active rule ids must be unique, and every budget enforceable."""
+        domain = domain or BlockDomain()
         self.index = RuleIndex(getattr(rules, "rules", rules))
         self.per_release = RuleIndex(per_release_rules)
         check_unique_ids(self.index.rules)
-        check_enforceable(self.index.rules + self.per_release.rules)
-        self.state = FilterState(domain or BlockDomain())
+        # making the plans refuses a budget that no filter can enforce
+        self.index.plans(domain.time_unit)
+        self.per_release.plans()
+        self.state = FilterState(domain)
 
     @property
     def poset(self) -> RuleIndex:

@@ -12,10 +12,6 @@ class VariantMismatch(DPWardenError):
     """Two budgets of different variants were compared or combined."""
 
 
-class DeltaOverflow(DPWardenError):
-    """Composed delta reached or exceeded 1."""
-
-
 class UnsupportedVariant(DPWardenError):
     """Operation not defined for this budget variant."""
 

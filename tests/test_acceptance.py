@@ -6,6 +6,7 @@ desk-scale scenario properties, sampling statistics, and the Gaussian
 calibration round trip.
 """
 
+import hashlib
 import math
 import sys
 import time
@@ -39,6 +40,7 @@ from dpwarden.workload import (
     WorkloadConfig,
     build_policy_document,
     build_schema,
+    emit_report,
     run_scenario,
     s1_standard_epsilon,
 )
@@ -262,6 +264,29 @@ def test_utility_grows_with_budget(scenario_sweep):
             high = scenario_sweep[(scenario, "dpolicy", EPSILON_SWEEP[-1], seed)].total_utility
             assert high > low
     _ok("every scenario turns extra budget into strictly higher policy-mode utility")
+
+
+# sha256 over every sweep run's summary.json and rounds.csv, in sweep order;
+# recorded when the sweep's outputs were last known good
+SWEEP_DIGEST = "5626fe2c2841ef44d337be09a22a8ae8c7aeb4d641b1f9ce8c601850342e24c9"
+
+
+def test_sweep_reports_are_byte_identical(scenario_sweep, tmp_path):
+    """The 180 runs write the same report files, byte for byte, as they did
+    when ``SWEEP_DIGEST`` was recorded: a change to the engine must not move
+    a single decision or scope report."""
+    digest = hashlib.sha256()
+    for scenario in ("s1", "s2", "s3"):
+        for mode in ("dpolicy", "baseline"):
+            for eps in EPSILON_SWEEP:
+                for seed in SEEDS:
+                    key = (scenario, mode, eps, seed)
+                    out = tmp_path / f"{scenario}-{mode}-{eps}-{seed}"
+                    for path in emit_report(scenario_sweep[key], out):
+                        digest.update(f"{key} {path.name}\n".encode())
+                        digest.update(path.read_bytes())
+    assert digest.hexdigest() == SWEEP_DIGEST
+    _ok("the 180 sweep runs write byte-identical summary.json and rounds.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpwarden.accounting import (
+    budget_terms,
     calibrate_gaussian_rho,
-    compose_adp_basic,
     compose_rdp,
     convert_unit,
     epsilon_for_auxiliary_unit,
@@ -21,6 +21,7 @@ from dpwarden.accounting import (
     pure_curve,
     rdp_epsilon,
     rdp_to_adp,
+    rows_within,
     scale_budget,
     within_budget,
     zcdp_to_adp,
@@ -36,7 +37,6 @@ from dpwarden.core import (
     budget_leq,
 )
 from dpwarden.errors import (
-    DeltaOverflow,
     NoConversionPath,
     UnsupportedVariant,
     ValidationError,
@@ -73,16 +73,6 @@ def test_compose_rdp_associative_commutative(rhos):
 def test_compose_rdp_rejects_other_variants():
     with pytest.raises(VariantMismatch):
         compose_rdp([ADP(1, 1e-7)])
-
-
-def test_compose_adp_basic():
-    assert compose_adp_basic([ADP(1, 1e-7), ADP(2, 1e-7)]) == ADP(3, 2e-7)
-    assert compose_adp_basic([]) == ADP(0, 0)
-    out = compose_adp_basic([ADP(0.25, 1e-9)] * 10)
-    assert out.epsilon == pytest.approx(2.5, rel=1e-12)
-    assert out.delta == pytest.approx(1e-8, rel=1e-12)
-    with pytest.raises(DeltaOverflow):
-        compose_adp_basic([ADP(1, 0.6), ADP(1, 0.6)])
 
 
 def test_rdp_to_adp_zero_curve():
@@ -289,12 +279,40 @@ def test_kernel_matches_scalar_reference(rows, delta, budget):
     ]
 
 
+@settings(max_examples=300)
+@given(_curve_row_lists, _filter_budgets, st.floats(min_value=0, max_value=1))
+def test_one_verdict_matches_the_per_row_kernel(rows, budget, fraction):
+    """``rows_within`` on a budget's terms, its bound scaled as
+    ``scale_budget`` scales the budget, is ``within_budget(...).all()``."""
+    offsets, bound = budget_terms(budget)
+    want = bool(within_budget(rows, scale_budget(budget, fraction)).all())
+    assert rows_within(np.array(rows), offsets, bound * fraction) is want
+    for row in rows:
+        assert rows_within(np.array([row]), offsets, bound) is bool(within_budget([row], budget).all())
+
+
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_one_verdict_accepts_rows_exactly_at_the_bound(n_rows):
+    """A composed epsilon equal to the budget's is within it, as in
+    ``within_budget``: zero rows at the budget whose epsilon is the least
+    offset, and rows equal to an RDP budget's curve."""
+    offsets, _ = budget_terms(ADP(1.0, 1e-7))
+    at = ADP(float(offsets.min()), 1e-7)
+    curve = gaussian_curve(0.05)
+    for rows, budget in (([zero_curve().curve] * n_rows, at), ([curve.curve] * n_rows, curve)):
+        assert within_budget(rows, budget).all()
+        assert rows_within(np.array(rows), *budget_terms(budget))
+        assert not rows_within(np.array(rows), *budget_terms(scale_budget(budget, 0.5)))
+
+
 def test_kernel_rejects_other_variants_and_orders():
     rows = [zero_curve().curve]
     with pytest.raises(VariantMismatch):
         within_budget(rows, PureDP(1.0))
     with pytest.raises(VariantMismatch):
         within_budget(rows, ZCDP(1.0))
+    with pytest.raises(VariantMismatch):
+        budget_terms(PureDP(1.0))
     with pytest.raises(VariantMismatch):
         within_budget([[0.1]], ADP(1.0, 1e-7))
     with pytest.raises(ValidationError):

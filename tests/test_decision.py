@@ -14,6 +14,7 @@ from dpwarden.accounting import (
     pure_curve,
     rdp_epsilon,
     scale_budget,
+    within_budget,
     zero_curve,
 )
 from dpwarden.compiler import compile_policy_set, parse_policy_set
@@ -42,6 +43,7 @@ from dpwarden.core import (
     ZCDP,
     eval_predicate,
 )
+from dpwarden import decision
 from dpwarden.decision import (
     _FEW_RUNS,
     BlockDomain,
@@ -71,6 +73,7 @@ from _util import (  # noqa: E402
     dense,
     dense_cells,
     fill,
+    naive_cells,
     random_rule_set,
     random_trace,
     team_request_doc,
@@ -443,6 +446,112 @@ def test_indexed_decision_point_matches_naive_engine(rules, trace):
         assert point.process(request).accepted == naive.process(request)
 
 
+_DENSE_DOMAIN = 24
+_DENSE_AXIS = TimeAxis("m", 2, 3)  # granular steps 2 and 3, then hist and future
+
+
+class _DenseReference:
+    """The cumulative check from first principles: one dense
+    ``(domain, N_ALPHA)`` array per (rule, cell), costs composed with ``+=``
+    in mechanism order, verdicts from ``accounting.within_budget``."""
+
+    def __init__(self, rules):
+        self.rules = rules
+        self.acc: dict[tuple[str, str], np.ndarray] = {}
+
+    def process(self, request, budget_scale):
+        """The violations, as (rule, stage, cell), or the error type the
+        request must raise; an accepted request is charged."""
+        sel = request.pa_selection
+        if sel.size and sel[-1] >= _DENSE_DOMAIN:
+            return ValidationError
+        charges, violations = [], []
+        for rule in self.rules:
+            matching = [m for m in request.mechanisms if eval_predicate(rule.predicate, m.labels)]
+            if not matching:
+                continue
+            time_based = rule.unit == _DENSE_AXIS.unit
+            if time_based and request.time_step is not None and request.time_step > _DENSE_AXIS.horizon:
+                return UnknownTimeStep
+            if not sel.size:
+                continue
+            cost = np.zeros(N_ALPHA)
+            for m in matching:
+                cost += m.cost_by_unit[rule.unit].curve
+            budget = scale_budget(rule.budget, budget_scale)
+            for cell in naive_cells(time_based, request.time_step, _DENSE_AXIS.horizon,
+                                    _DENSE_AXIS.granular_window):
+                arr = self.acc.get((rule.rule_id, cell), np.zeros((_DENSE_DOMAIN, N_ALPHA)))
+                composed = arr[sel] + cost
+                if not within_budget(composed, budget).all():
+                    violations.append((rule.rule_id, "cumulative", cell))
+                charges.append(((rule.rule_id, cell), arr, composed))
+        if not violations:
+            for key, arr, composed in charges:
+                arr[sel] = composed
+                self.acc[key] = arr
+        return violations
+
+
+_dense_budgets = st.one_of(
+    st.floats(0.5, 8.0).map(lambda eps: ADP(eps, 1e-7)),
+    st.floats(0.02, 0.5).map(lambda rho: RDP(gaussian_curve(rho).curve)),
+)
+
+
+@st.composite
+def _dense_requests(draw, rid):
+    mechanisms = []
+    for _ in range(draw(st.integers(1, 3))):
+        attrs = draw(st.lists(st.sampled_from(["a1", "a2", "a3"]), min_size=1, max_size=2, unique=True))
+        rho = draw(st.floats(0.001, 0.1))
+        mechanisms.append(Mechanism(LabelSet({"attr": attrs}), {
+            "user": gaussian_curve(rho),
+            "m": pure_curve(rho),
+        }))
+    # a few ranges, so a selection crosses several runs of the classes made
+    ranges = draw(st.lists(st.tuples(st.integers(0, _DENSE_DOMAIN - 1), st.integers(1, 9)), max_size=3))
+    blocks = {b for start, length in ranges for b in range(start, min(start + length, _DENSE_DOMAIN))}
+    if draw(st.integers(0, 15)) == 0:
+        blocks.add(_DENSE_DOMAIN)  # outside the domain
+    time_step = draw(st.sampled_from([None, None, 0, 2, 3, 4]))  # 4 is past the frontier
+    return ReleaseRequest(rid, tuple(mechanisms), sorted(blocks), time_step), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(budgets=st.lists(_dense_budgets, min_size=4, max_size=4), data=st.data())
+def test_check_matches_a_dense_per_block_reference(budgets, data):
+    """Request by request, ``DecisionPoint.process`` gives the dense
+    reference's verdict, violations and state; a rejected or erroring
+    request leaves ``state.to_dict()`` byte-identical."""
+    rules = [
+        Rule("all", TruePredicate(), "user", budgets[0]),
+        Rule("a1", AttrIntersects(frozenset({"a1"})), "user", budgets[1]),
+        Rule("month", AttrIntersects(frozenset({"a2", "a3"})), "m", budgets[2]),
+        Rule("month.a3", HasLabel("attr", "a3"), "m", budgets[3]),
+    ]
+    point = DecisionPoint(rules, domain=BlockDomain(("pa",), _DENSE_DOMAIN, _DENSE_AXIS))
+    reference = _DenseReference(rules)
+    for j in range(data.draw(st.integers(1, 25))):
+        request, scale = data.draw(_dense_requests(f"q{j}"))
+        before = json.dumps(point.state.to_dict())
+        want = reference.process(request, scale)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                point.process(request, scale)
+            assert json.dumps(point.state.to_dict()) == before
+            continue
+        decision = point.process(request, scale)
+        assert decision.accepted == (not want)
+        assert [(v.rule_id, v.stage, v.cell) for v in decision.violations] == want
+        if want:
+            assert json.dumps(point.state.to_dict()) == before
+        got = dense_cells(point.state)
+        assert got.keys() == reference.acc.keys()
+        for key, arr in reference.acc.items():
+            assert got[key].tobytes() == arr.tobytes(), key
+
+
 def test_annotated_order_does_not_exempt_a_rule_from_its_check():
     policy = parse_policy_set(annotated_policy_doc())
     poset = prune(build_poset(compile_policy_set(policy), policy.unit_graph()))
@@ -630,6 +739,44 @@ def test_state_load_refuses_a_count_that_is_not_an_integer(field, value):
     holder[field] = value
     with pytest.raises(ValidationError):
         FilterState.from_dict(json.loads(json.dumps(doc)))
+
+
+def _wide_window_doc(cells: dict) -> dict:
+    """A state at ``now`` = ``granular_window`` = 10**5, whose granular
+    steps are 1 to 10**5."""
+    return {
+        "now": 10**5,
+        "domain": {"partitioning_attributes": ["pa"], "domain_size": 4,
+                   "time_axis": {"unit": "m", "granular_window": 10**5, "horizon": 0}},
+        "cells": {"r": {cell: {"blocks": [0], "curves": [_ROW]} for cell in cells}},
+    }
+
+
+def test_state_load_names_no_step_it_does_not_read(monkeypatch):
+    """Loading checks each cell name against the granular window by its
+    step, so a wide window costs no work on load: no cell, no name made,
+    and at most one name per cell."""
+    calls = []
+
+    def counting_step_cell(step):
+        calls.append(step)
+        return step_cell(step)
+
+    monkeypatch.setattr(decision, "step_cell", counting_step_cell)
+    FilterState.from_dict(_wide_window_doc([]))
+    assert calls == []
+    cells = [CELL_STATIC, CELL_HIST, CELL_FUTURE, "t1", "t100000"]
+    state = FilterState.from_dict(_wide_window_doc(cells))
+    assert len(calls) <= len(cells)
+    assert sorted(state._cells["r"]) == sorted(cells)
+
+
+@pytest.mark.parametrize("cell", ["t0", "t100001", "t07", "t+7", "t-1", "t", "t\u0663", "T5", "t5 "])
+def test_state_load_refuses_a_step_outside_the_window_or_not_named_as_itself(cell):
+    """A step before the window or past the frontier is refused, and so is
+    a name that reads as a step but is not that step's name (``t07``)."""
+    with pytest.raises(ValidationError):
+        FilterState.from_dict(_wide_window_doc([cell]))
 
 
 def test_a_domain_too_large_to_index_fails_before_the_state_changes():
