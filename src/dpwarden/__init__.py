@@ -52,8 +52,6 @@ from .decision import (
 from .poset import (
     RulePoset,
     build_poset,
-    is_non_constraining,
-    lower_cover,
     prune,
     prune_with_report,
     rule_leq,

@@ -1,16 +1,18 @@
 """Privacy-loss arithmetic: composition, variant conversion, group privacy,
 Gaussian calibration across units, and filter checks.
 
-All functions are pure and safe for unrestricted parallel use.  The two
-numerical solvers are private pure-Python ports of scipy's, kept operation
-for operation so that every float matches what scipy returns: ``_brentq``
-(Brent's root finder) calibrates Gaussian noise, and ``_fminbound`` (Brent's
-bounded minimiser) refines the tight zCDP conversion.
+All functions are pure and safe for unrestricted parallel use.  The one
+numerical solver, ``_brentq`` (Brent's root finder), calibrates Gaussian
+noise; it is a private pure-Python port of scipy's, kept operation for
+operation so that every float matches what scipy returns.  The tight zCDP
+conversion needs no solver of that kind: its objective has one stationary
+point, which bisection finds to the last float.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Iterable
 
@@ -162,10 +164,12 @@ def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:
     """Convert a zCDP guarantee to approximate DP at a target delta.
 
     ``closed_form`` uses rho + 2*sqrt(rho*ln(1/delta)).  ``tight_numeric``
-    minimises rho*a + ln(1/delta)/(a-1) + ln(1 - 1/a) over a dense grid of
-    orders a > 1, refined by ``_fminbound`` between the grid neighbours of
-    the best order, and never exceeds the closed form: past rho of about
-    1e13 the optimum order lies below the grid's lowest, 1 + 1e-6.
+    minimises f(a) = rho*a + L/(a-1) + ln(1 - 1/a), L = ln(1/delta), over
+    orders a > 1 (Bun & Steinke, TCC 2016), and never exceeds the closed
+    form.  With x = a - 1, f'(a)*x*(x+1) = g(x) = rho*x^2 + rho*x + 1 - L - L/x,
+    which for rho > 0 rises from -inf at 0+ to +inf, so f has one stationary
+    point: g's sign change, bisected geometrically over every positive float
+    down to two adjacent ones.  At rho = 0 the closed form, 0, is the least.
     """
     if not 0.0 <= rho < math.inf:
         raise ValidationError("rho must be finite and non-negative")
@@ -177,25 +181,18 @@ def zcdp_to_adp(rho: float, delta: float, mode: str = "tight_numeric") -> ADP:
         return ADP(closed, delta)
     if mode != "tight_numeric":
         raise ValidationError(f"unknown conversion mode {mode!r}")
-    if rho == 0.0:
-        return ADP(0.0, delta)
-
-    def f(alpha: float) -> float:
-        return rho * alpha + ln1d / (alpha - 1.0) + math.log1p(-1.0 / alpha)
-
-    # Log grid over alpha - 1; widen the top end when the unconstrained
-    # optimum 1 + sqrt(ln(1/delta)/rho) would fall outside it.  The ratio
-    # overflows for a subnormal rho, so the top is capped below 1e308, well
-    # above any optimum; for a huge rho, rho * a overflows to inf.
-    hi = min(max(6.0, math.log10(math.sqrt(ln1d / rho)) + 1.0), 300.0)
-    with np.errstate(over="ignore"):
-        grid = 1.0 + np.logspace(-6.0, hi, 10_000)
-        vals = rho * grid + ln1d / (grid - 1.0) + np.log1p(-1.0 / grid)
-    i = int(np.argmin(vals))
-    lo_b = grid[max(i - 1, 0)]
-    hi_b = grid[min(i + 1, len(grid) - 1)]
-    eps = min(float(vals[i]), _fminbound(f, float(lo_b), float(hi_b)), closed)
-    return ADP(max(eps, 0.0), delta)
+    lo, hi = math.ulp(0.0), sys.float_info.max
+    while math.nextafter(lo, hi) < hi:
+        x = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < x < hi:  # the rounded geometric mean of floats a few apart
+            x = lo + (hi - lo) / 2
+        if rho * x * x + rho * x + (1.0 - ln1d) - ln1d / x < 0.0:
+            lo = x
+        else:
+            hi = x
+    # ln(1 - 1/a) as -log1p(1/x): log(x) - log1p(x) cancels to 0 at a large x
+    eps = min(rho * (x + 1.0) + ln1d / x - math.log1p(1.0 / x) for x in (lo, hi))
+    return ADP(max(min(eps, closed), 0.0), delta)
 
 
 def group_privacy(budget: PrivacyBudget, k: int) -> PrivacyBudget:
@@ -341,74 +338,3 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
     raise DPWardenError(f"no root found in {maxiter} iterations")
-
-
-def _fminbound(f, a: float, b: float, xatol: float = 1e-5, maxfun: int = 500) -> float:
-    """The least value of ``f`` found on [a, b] by Brent's bounded minimiser
-    (Brent 1973, ch. 5): golden-section steps with parabolic interpolation.
-    Ported operation for operation from scipy's
-    ``scipy.optimize._optimize._minimize_scalar_bounded``, so it returns the
-    float that ``minimize_scalar(f, bounds=(a, b), method="bounded").fun``
-    does.  As there, ``xf`` is the best point, ``nfc`` the next best and
-    ``fulc`` the one before it."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)  # np.sign, 1 at 0
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return fx

@@ -251,11 +251,6 @@ class UnitGraph:
             raise ValidationError(f"unknown unit in comparison: {a!r} vs {b!r}")
         return a == b or (a, b) in self._closure
 
-    def group_factor(self, src: str, dst: str) -> int | None:
-        if src == dst:
-            return 1
-        return self.units[src].group_factor_to.get(dst)
-
     def to_dicts(self) -> list[dict]:
         return [
             {

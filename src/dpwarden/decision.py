@@ -7,8 +7,8 @@ touches.  ``DecisionPoint`` is the one place that turns a rule set into an
 index, and it validates the set there, before any state exists: one active
 rule per id, as ids key the filter state, and only budgets a filter can
 check.  Then each index makes its check plans, one per rule: what a check
-would otherwise derive from the rule on every request (its unit, whether
-that is the time axis' unit, and its budget's ``accounting.budget_terms``).
+would otherwise derive from the rule on every request (its unit and its
+budget's ``accounting.budget_terms``).
 The free functions of each stage take that index.  The rule poset is a
 compile-time structure for pruning and DOT export; it plays no part here.
 
@@ -76,6 +76,13 @@ def _cell_step(cell: str) -> int | None:
     return None
 
 
+# the widest granular window: a request without a time step, on a rule of
+# the axis' unit, makes a store for each of window + 2 cells, and each store
+# indexes its domain at 2 bytes a block, so 366 steps of the 204,800-block
+# paper domain take about 147 MB; the scenarios use 7
+MAX_WINDOW = 366
+
+
 @dataclass(frozen=True)
 class TimeAxis:
     """Time dimension for one time-based privacy unit.
@@ -91,8 +98,8 @@ class TimeAxis:
     horizon: int = 0
 
     def __post_init__(self):
-        if self.granular_window < 0:
-            raise ValidationError("granular window must be >= 0")
+        if not 0 <= self.granular_window <= MAX_WINDOW:
+            raise ValidationError(f"granular window must lie in [0, {MAX_WINDOW}], got {self.granular_window}")
         if self.horizon < 0:
             raise ValidationError("horizon must be >= 0")
 
@@ -331,7 +338,7 @@ class BlockRows:
             run_slots, lengths = runs
             self.index[blocks] = np.repeat(target[np.searchsorted(slots, run_slots)], lengths)
 
-    def add(self, blocks: np.ndarray, curve) -> None:
+    def add(self, blocks: np.ndarray | slice, curve) -> None:
         """Add ``curve`` to the row of each of the distinct ``blocks``."""
         classes, rows = self.gather(blocks)
         rows += curve
@@ -714,15 +721,13 @@ def _atom(p: Predicate) -> Predicate:
 
 class _CheckPlan:
     """What checking a rule derives from the rule alone, made once: its id
-    and unit, whether the unit is the time axis', and its budget's terms
-    (``accounting.budget_terms``)."""
+    and unit, and its budget's terms (``accounting.budget_terms``)."""
 
-    __slots__ = ("rule_id", "unit", "time_based", "offsets", "bound")
+    __slots__ = ("rule_id", "unit", "offsets", "bound")
 
-    def __init__(self, rule: Rule, time_unit: str | None):
+    def __init__(self, rule: Rule):
         self.rule_id = rule.rule_id
         self.unit = rule.unit
-        self.time_based = rule.unit == time_unit
         self.offsets, self.bound = budget_terms(rule.budget)
 
 
@@ -750,7 +755,7 @@ class RuleIndex:
         self._always: list[int] = []
         self._buckets: dict[str, dict[str, list[int]]] = {}
         self._fallback: list[int] = []
-        self._plans: tuple[str | None, tuple[_CheckPlan, ...]] | None = None
+        self._plans: tuple[_CheckPlan, ...] | None = None
         for i, rule in enumerate(self.rules):
             p = _atom(rule.predicate)
             if isinstance(p, TruePredicate):
@@ -790,14 +795,13 @@ class RuleIndex:
             per_rule[i] = frozenset(ms)
         return per_rule
 
-    def plans(self, time_unit: str | None = None) -> tuple[_CheckPlan, ...]:
-        """One ``_CheckPlan`` per rule, in rule order, for a time axis over
-        ``time_unit``, or for none: made on the first call for that unit,
-        after refusing any budget that no filter can enforce."""
-        if self._plans is None or self._plans[0] != time_unit:
+    def plans(self) -> tuple[_CheckPlan, ...]:
+        """One ``_CheckPlan`` per rule, in rule order: made on the first
+        call, after refusing any budget that no filter can enforce."""
+        if self._plans is None:
             check_enforceable(self.rules)
-            self._plans = (time_unit, tuple(_CheckPlan(rule, time_unit) for rule in self.rules))
-        return self._plans[1]
+            self._plans = tuple(_CheckPlan(rule) for rule in self.rules)
+        return self._plans
 
 
 def check_per_release(request: ReleaseRequest, index: RuleIndex) -> Decision:
@@ -833,6 +837,15 @@ def match_rules(index: RuleIndex, mechanisms: Sequence[Mechanism]) -> list[froze
     return index.match(mechanisms)
 
 
+def store_blocks(selection: np.ndarray) -> np.ndarray | slice:
+    """The sorted distinct ``selection`` as a store takes it: a slice when
+    it is one range of blocks, so the store reads and writes its index
+    through slices; else the array itself."""
+    if selection.size and selection.item(-1) - selection.item(0) + 1 == selection.size:
+        return slice(selection.item(0), selection.item(-1) + 1)
+    return selection
+
+
 def check_and_commit(
     state: FilterState,
     request: ReleaseRequest,
@@ -866,19 +879,17 @@ def check_and_commit(
                 f"request {request.request_id!r}: mechanism lacks costs for tracked units {sorted(missing)}"
             )
 
-    plans = index.plans(domain.time_unit)
+    plans = index.plans()
+    time_unit = domain.time_unit
     matches = match_rules(index, mechanisms)
-    blocks = sel
-    if sel.size and sel.item(-1) - sel.item(0) + 1 == sel.size:
-        # one range of blocks: the stores read and write their index through slices
-        blocks = slice(sel.item(0), sel.item(-1) + 1)
+    blocks = store_blocks(sel)
     cells_of = state._cells
     costs: dict[tuple[str, frozenset[int]], np.ndarray] = {}
     pending: list[tuple[str, str, BlockRows, tuple, np.ndarray]] = []
     violations: list[Violation] = []
     for plan, mech_idx in compress(zip(plans, matches), matches):
         # cells_for runs on an empty selection too: it refuses an unknown step
-        cells = state.cells_for(True, request.time_step) if plan.time_based else _STATIC_CELLS
+        cells = state.cells_for(True, request.time_step) if plan.unit == time_unit else _STATIC_CELLS
         if not sel.size:
             continue
         unit = plan.unit
@@ -960,7 +971,7 @@ class DecisionPoint:
         self.per_release = RuleIndex(per_release_rules)
         check_unique_ids(self.index.rules)
         # making the plans refuses a budget that no filter can enforce
-        self.index.plans(domain.time_unit)
+        self.index.plans()
         self.per_release.plans()
         self.state = FilterState(domain)
 

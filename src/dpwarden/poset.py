@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .accounting import group_privacy
+from .accounting import convert_unit
 from .core import (
     BASE_ATOMS,
     BASE_ATTRS,
@@ -35,7 +35,7 @@ from .core import (
     check_unique_ids,
     conjunction_atoms,
 )
-from .errors import IncomparableKeys, UnsupportedVariant, ValidationError, VariantMismatch
+from .errors import IncomparableKeys, NoConversionPath, UnsupportedVariant, ValidationError, VariantMismatch
 
 
 def _base_leq(kind1: str, val1, kind2: str, val2) -> bool:
@@ -93,12 +93,6 @@ class RulePoset:
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    def index_of(self, rule_id: str) -> int:
-        for i, r in enumerate(self.rules):
-            if r.rule_id == rule_id:
-                return i
-        raise KeyError(rule_id)
 
     def lower_cover_indices(self, i: int) -> tuple[int, ...]:
         """Maximal strict predecessors of rule i."""
@@ -216,12 +210,6 @@ def build_poset(rules: Sequence[Rule], units: UnitGraph) -> RulePoset:
     return RulePoset(rules, units, ups, stats)
 
 
-def lower_cover(poset: RulePoset, rule: Rule | int) -> list[Rule]:
-    """Maximal strict predecessors of a rule in the poset."""
-    i = rule if isinstance(rule, int) else poset.index_of(rule.rule_id)
-    return [poset.rules[j] for j in poset.lower_cover_indices(i)]
-
-
 def _scope_covered(ri: Rule, rj: Rule) -> bool:
     """Whether rule j's scope is known to contain rule i's.  An annotation
     key is an admin's claim, so a pair that uses one counts only when the
@@ -242,15 +230,11 @@ def _dominating_budget(poset: RulePoset, i: int, j: int) -> PrivacyBudget | None
     ri, rj = poset.rules[i], poset.rules[j]
     if not _scope_covered(ri, rj):
         return None
-    budget = rj.budget
-    if rj.unit != ri.unit:
-        k = poset.units.group_factor(rj.unit, ri.unit)
-        if k is None:
-            return None
-        try:
-            budget = group_privacy(budget, k)
-        except UnsupportedVariant:
-            return None
+    units = poset.units.units
+    try:
+        budget = convert_unit(rj.budget, units[rj.unit], units[ri.unit])
+    except (NoConversionPath, UnsupportedVariant):
+        return None
     try:
         if not budget_leq(budget, ri.budget):
             return None
@@ -262,14 +246,6 @@ def _dominating_budget(poset: RulePoset, i: int, j: int) -> PrivacyBudget | None
     except VariantMismatch:
         return None
     return budget
-
-
-def is_non_constraining(poset: RulePoset, rule: Rule | int) -> bool:
-    """A rule is non-constraining when some other rule contains its scope and
-    unit with an equal-or-stricter budget; removing it cannot change any
-    decision."""
-    i = rule if isinstance(rule, int) else poset.index_of(rule.rule_id)
-    return any(_dominating_budget(poset, i, j) is not None for j in poset.ups[i])
 
 
 @dataclass(frozen=True)

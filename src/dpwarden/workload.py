@@ -38,7 +38,7 @@ from .core import (
     TruePredicate,
     expand_block_range,
 )
-from .decision import BlockDomain, BlockRows, DecisionPoint, RuleIndex, TimeAxis
+from .decision import BlockDomain, BlockRows, DecisionPoint, RuleIndex, TimeAxis, store_blocks
 from .errors import ConfigError, reading
 from .poset import build_poset, prune
 
@@ -661,7 +661,7 @@ class _Scope:
             total = np.array(costs[0])
             for curve in costs[1:]:
                 total += curve
-            self._acc.add(request.pa_selection, total)
+            self._acc.add(store_blocks(request.pa_selection), total)
 
     def report(self) -> ScopeCost:
         rows = self._acc.held_rows()

@@ -10,7 +10,7 @@ from dpwarden.accounting import calibrate_gaussian_rho, gaussian_curve
 from dpwarden.cli import main
 from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import DEFAULT_ALPHA_ORDERS
-from dpwarden.decision import BlockDomain, DecisionPoint
+from dpwarden.decision import MAX_WINDOW, BlockDomain, DecisionPoint
 from dpwarden.poset import build_poset, prune
 from dpwarden.workload import WorkloadConfig, build_policy_document, build_schema, generate_workload
 
@@ -553,6 +553,31 @@ def _monthly_files(tmp_path):
     check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
              "--blocks", "4", "--time-unit", "user-month", "--window", "2", "--horizon", "2"]
     return check, request, state
+
+
+def test_check_refuses_a_window_past_the_bound(tmp_path, capsys):
+    """A request without a time step makes a store for every step of the
+    window, so a state file or ``--window`` past ``MAX_WINDOW`` exits 2 and
+    leaves the state as it was."""
+    check, request, state = _monthly_files(tmp_path)
+    request.write_text(json.dumps(monthly_request_doc(0.5, None)))
+    doc = {"now": MAX_WINDOW, "domain": {"domain_size": 4, "time_axis": {
+        "unit": "user-month", "granular_window": MAX_WINDOW + 1, "horizon": MAX_WINDOW}}, "cells": {}}
+    state.write_text(json.dumps(doc))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(check) == 2
+    assert "granular window" in capsys.readouterr().err
+    assert state.read_bytes() == before
+    assert main(["advance", "--state", str(state), "--to", str(MAX_WINDOW + 1)]) == 2
+    assert state.read_bytes() == before
+
+    state.unlink()
+    check[check.index("--window") + 1] = str(MAX_WINDOW + 1)
+    capsys.readouterr()
+    assert main(check) == 2
+    assert "granular window" in capsys.readouterr().err
+    assert not state.exists()
 
 
 def test_advance_lets_a_later_time_step_be_checked(tmp_path, capsys):

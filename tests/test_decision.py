@@ -51,6 +51,7 @@ from dpwarden.decision import (
     CELL_FUTURE,
     CELL_HIST,
     CELL_STATIC,
+    MAX_WINDOW,
     N_ALPHA,
     DecisionPoint,
     FilterState,
@@ -187,6 +188,37 @@ def test_ledger_is_the_static_store_of_a_rule_off_the_time_axis():
     req = ReleaseRequest("q", (mech,), (0, 1))
     assert point.process(req).accepted
     assert dense(store)[[0, 1]].tolist() == [list(pure_curve(0.5).curve)] * 2
+
+
+def test_plans_are_made_once_whatever_the_time_axis(monkeypatch):
+    """``dpwarden check`` builds its decision point without a time axis and
+    then swaps in the state it loads, which may have one: the plans do not
+    depend on the axis, so each index refuses unenforceable budgets once."""
+    rules = _monthly_point().index.rules
+    calls = []
+
+    def counting_check_enforceable(rules):
+        calls.append(tuple(rules))
+
+    monkeypatch.setattr(decision, "check_enforceable", counting_check_enforceable)
+    point = DecisionPoint(rules, (_rule("cap", TruePredicate(), set(), 100.0),), BlockDomain(("pa",), 8))
+    assert len(calls) == 2
+    point.state = FilterState(BlockDomain(("pa",), 8, TimeAxis("user-month", 3, 6)))
+    assert point.process(_time_request("q1", None, eps=1.0)).accepted
+    assert point.process(_time_request("q2", 6, eps=1.0)).accepted
+    assert len(calls) == 2
+    # the swapped-in axis decides the cells: a request without a step charges them all
+    assert set(point.state._cells["monthly"]) == {CELL_HIST, "t4", "t5", "t6", CELL_FUTURE}
+
+
+def test_a_window_past_the_bound_is_refused():
+    TimeAxis("m", MAX_WINDOW, MAX_WINDOW)
+    with pytest.raises(ValidationError, match="granular window"):
+        TimeAxis("m", MAX_WINDOW + 1)
+    doc = {"now": 0, "domain": BlockDomain(("pa",), 1).to_dict(), "cells": {}}
+    doc["domain"]["time_axis"] = {"unit": "m", "granular_window": MAX_WINDOW + 1, "horizon": 0}
+    with pytest.raises(ValidationError, match="granular window"):
+        FilterState.from_dict(doc)
 
 
 def test_parallel_composition_across_months():
@@ -742,12 +774,12 @@ def test_state_load_refuses_a_count_that_is_not_an_integer(field, value):
 
 
 def _wide_window_doc(cells: dict) -> dict:
-    """A state at ``now`` = ``granular_window`` = 10**5, whose granular
-    steps are 1 to 10**5."""
+    """A state at ``now`` = ``granular_window`` = ``MAX_WINDOW``, the widest
+    window, whose granular steps are 1 to ``MAX_WINDOW``."""
     return {
-        "now": 10**5,
+        "now": MAX_WINDOW,
         "domain": {"partitioning_attributes": ["pa"], "domain_size": 4,
-                   "time_axis": {"unit": "m", "granular_window": 10**5, "horizon": 0}},
+                   "time_axis": {"unit": "m", "granular_window": MAX_WINDOW, "horizon": 0}},
         "cells": {"r": {cell: {"blocks": [0], "curves": [_ROW]} for cell in cells}},
     }
 
@@ -765,7 +797,7 @@ def test_state_load_names_no_step_it_does_not_read(monkeypatch):
     monkeypatch.setattr(decision, "step_cell", counting_step_cell)
     FilterState.from_dict(_wide_window_doc([]))
     assert calls == []
-    cells = [CELL_STATIC, CELL_HIST, CELL_FUTURE, "t1", "t100000"]
+    cells = [CELL_STATIC, CELL_HIST, CELL_FUTURE, "t1", step_cell(MAX_WINDOW)]
     state = FilterState.from_dict(_wide_window_doc(cells))
     assert len(calls) <= len(cells)
     assert sorted(state._cells["r"]) == sorted(cells)

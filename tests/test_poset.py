@@ -25,8 +25,6 @@ from dpwarden.errors import IncomparableKeys, ValidationError
 from dpwarden.poset import (
     ComparisonStats,
     build_poset,
-    is_non_constraining,
-    lower_cover,
     prune,
     prune_with_report,
     rule_leq,
@@ -108,25 +106,31 @@ def test_atom_conjunction_superset_is_smaller():
 def test_hasse_fixture_covers():
     rules, units = hasse_fixture()
     poset = build_poset(rules, units)
-    by_id = {r.rule_id: r for r in rules}
-    assert {r.rule_id for r in lower_cover(poset, by_id["r1"])} == {"r2", "r3", "r4"}
-    assert {r.rule_id for r in lower_cover(poset, by_id["r2"])} == {"r5", "r6"}
-    assert {r.rule_id for r in lower_cover(poset, by_id["r3"])} == {"r6"}
-    assert {r.rule_id for r in lower_cover(poset, by_id["r4"])} == {"r7"}
-    assert lower_cover(poset, by_id["r6"]) == []
+    ids = [r.rule_id for r in poset.rules]
+
+    def cover(rule_id):
+        return {ids[j] for j in poset.lower_cover_indices(ids.index(rule_id))}
+
+    assert cover("r1") == {"r2", "r3", "r4"}
+    assert cover("r2") == {"r5", "r6"}
+    assert cover("r3") == {"r6"}
+    assert cover("r4") == {"r7"}
+    assert cover("r6") == set()
 
 
 def test_hasse_fixture_non_constraining():
     rules, units = hasse_fixture()
-    poset = build_poset(rules, units)
-    assert is_non_constraining(poset, poset.index_of("r2"))
-    assert not is_non_constraining(poset, poset.index_of("r6"))
+    active, records = prune_with_report(build_poset(rules, units))
+    assert "r2" in {rec.rule_id for rec in records}
+    assert "r6" not in {rec.rule_id for rec in records}
+    assert "r6" in {r.rule_id for r in active.rules}
 
 
 def test_singleton_rule_is_constraining():
     units = _user()
-    poset = build_poset([attr_rule("only", {"a1"}, 3.0)], units)
-    assert not is_non_constraining(poset, 0)
+    active, records = prune_with_report(build_poset([attr_rule("only", {"a1"}, 3.0)], units))
+    assert records == []
+    assert [r.rule_id for r in active.rules] == ["only"]
 
 
 def test_hasse_fixture_prunes_grey_rules():

@@ -437,6 +437,43 @@ def test_shared_and_own_scopes_add_a_multi_mechanism_request_alike():
     assert shared.report().cumulative_epsilon == own.report().cumulative_epsilon == eps
 
 
+def test_a_one_range_scope_charge_reads_the_store_through_a_slice(monkeypatch):
+    """An own-store scope charges a selection that is one range of blocks
+    through a slice of the store's index, as the commit does; any other
+    selection through its array of blocks."""
+    from dpwarden.decision import BlockRows
+
+    seen = []
+    gather = BlockRows.gather
+
+    def recording_gather(self, blocks):
+        seen.append(blocks)
+        return gather(self, blocks)
+
+    monkeypatch.setattr(BlockRows, "gather", recording_gather)
+    cfg = small_cfg(pa_domain_size=8, pa_range_unit=2)
+    scope = _Scope("s", HasLabel("kind", "charged"), "user", None, cfg)
+    assert not scope.share(DecisionPoint([], domain=BlockDomain(("pa",), 8)))
+    mech = Mechanism(LabelSet({"kind": ["charged"]}), {"user": pure_curve(0.1)})
+    scope.add(ReleaseRequest("q1", (mech,), [2, 3, 4]), frozenset({0}))
+    scope.add(ReleaseRequest("q2", (mech,), [1, 3]), frozenset({0}))
+    assert isinstance(seen[0], slice) and seen[0] == slice(2, 5)
+    assert isinstance(seen[1], np.ndarray) and seen[1].tolist() == [1, 3]
+    want = np.zeros((8, len(pure_curve(0.1).curve)))
+    want[[1, 2, 4]] = pure_curve(0.1).curve
+    want[3] = np.array(pure_curve(0.1).curve) * 2
+    assert dense(scope._acc).tobytes() == want.tobytes()
+
+
+def test_a_month_window_past_the_bound_is_refused():
+    from dpwarden.decision import MAX_WINDOW
+    from dpwarden.errors import ValidationError
+
+    cfg = small_cfg(scenario="s3", month_window=MAX_WINDOW + 1, start_month=MAX_WINDOW)
+    with pytest.raises(ValidationError, match="granular window"):
+        run_scenario(cfg)
+
+
 def test_paper_scale_scope_reports_equal_full_recompute(monkeypatch):
     """At paper scale each request charges few of the 204,800 rows, so most
     rows stay clean between reports."""
