@@ -290,6 +290,8 @@ class LabelSet:
         data: dict[str, frozenset[str]] = {}
         for key, values in (entries or {}).items():
             _check_name(key, "label key")
+            if isinstance(values, str):  # a string would be read as its characters
+                raise ValidationError(f"label {key!r} must list its values, not be the string {values!r}")
             vs = frozenset(values)
             for v in vs:
                 _check_name(v, f"label value for {key!r}")
@@ -364,6 +366,8 @@ class AttrIntersects:
     attrs: frozenset[str]
 
     def __post_init__(self):
+        if isinstance(self.attrs, str):  # a string would be read as its characters
+            raise ValidationError(f"attrs must list attribute names, not be the string {self.attrs!r}")
         object.__setattr__(self, "attrs", frozenset(self.attrs))
         for a in self.attrs:
             _check_name(a, "attribute name")
@@ -454,7 +458,7 @@ def predicate_from_dict(d: Mapping) -> Predicate:
     if op == "has_label":
         return HasLabel(d["key"], d["value"])
     if op == "attr_intersects":
-        return AttrIntersects(frozenset(d["attrs"]))
+        return AttrIntersects(d["attrs"])
     if op == "and":
         return And(tuple(predicate_from_dict(x) for x in d["parts"]))
     if op == "or":

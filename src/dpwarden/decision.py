@@ -37,9 +37,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .accounting import budget_terms, check_enforceable, rdp_epsilon, rows_within, scale_budget
+from .accounting import budget_terms, check_enforceable, rows_within
 from .core import (
-    ADP,
     ATTR_KEY,
     DEFAULT_ALPHA_ORDERS,
     And,
@@ -48,7 +47,6 @@ from .core import (
     LabelSet,
     Mechanism,
     Predicate,
-    RDP,
     ReleaseRequest,
     Rule,
     TruePredicate,
@@ -846,6 +844,18 @@ def store_blocks(selection: np.ndarray) -> np.ndarray | slice:
     return selection
 
 
+def matched_cost(mechanisms: Sequence[Mechanism], matched: frozenset[int], unit: str) -> np.ndarray | None:
+    """The summed cost in ``unit`` of the ``matched`` mechanisms, added in
+    ascending mechanism order; a mechanism without a cost in ``unit`` adds
+    nothing, and None stands for no cost at all."""
+    total = None
+    for m in sorted(matched):
+        cost = mechanisms[m].cost_by_unit.get(unit)
+        if cost is not None:
+            total = np.array(cost.curve) if total is None else total + cost.curve
+    return total
+
+
 def check_and_commit(
     state: FilterState,
     request: ReleaseRequest,
@@ -892,15 +902,10 @@ def check_and_commit(
         cells = state.cells_for(True, request.time_step) if plan.unit == time_unit else _STATIC_CELLS
         if not sel.size:
             continue
-        unit = plan.unit
-        cost = costs.get((unit, mech_idx))
+        cost = costs.get((plan.unit, mech_idx))
         if cost is None:
-            first, *rest = sorted(mech_idx)
-            cost = np.array(mechanisms[first].cost_by_unit[unit].curve)
-            for m in rest:
-                cost += mechanisms[m].cost_by_unit[unit].curve
-            costs[unit, mech_idx] = cost
-        bound = plan.bound if budget_scale == 1.0 else plan.bound * budget_scale
+            cost = costs[plan.unit, mech_idx] = matched_cost(mechanisms, mech_idx, plan.unit)
+        bound = plan.bound * budget_scale
         rule_id = plan.rule_id
         per_rule = cells_of.get(rule_id, {})
         for cell in cells:
@@ -924,33 +929,27 @@ def check_and_commit(
 
 
 def headroom(state: FilterState, index: RuleIndex, budget_scale: float = 1.0) -> dict[str, dict]:
-    """Per-rule consumed-vs-budget summary over all blocks and cells."""
+    """Per-rule consumed-vs-budget summary over all blocks and cells, read
+    against each rule's check plan, its bound scaled as the check scales it."""
+    if not budget_scale >= 0:
+        raise ValidationError(f"budget scale must be non-negative, got {budget_scale!r}")
     out: dict[str, dict] = {}
-    for rule in index.rules:
-        budget = scale_budget(rule.budget, budget_scale)
+    for plan in index.plans():
+        bound = plan.bound * budget_scale
         # the zero row that stands for uncharged blocks moves no max or min:
         # epsilon and utilization only grow with the accumulator
-        stores = state._cells.get(rule.rule_id, {}).values()
-        held = [store.held_rows() for store in stores]
-        if isinstance(budget, ADP):
-            consumed = 0.0
-            for arr in held:
-                if arr.any():
-                    consumed = max(consumed, float(rdp_epsilon(arr, budget.delta).max()))
-            out[rule.rule_id] = {
-                "budget_epsilon": budget.epsilon,
+        held = [store.held_rows() for store in state._cells.get(plan.rule_id, {}).values()]
+        if plan.offsets is not None:
+            consumed = max([0.0, *(float((a + plan.offsets).min(axis=1).max()) for a in held if a.any())])
+            out[plan.rule_id] = {
+                "budget_epsilon": bound,
                 "consumed_epsilon": consumed,
-                "headroom_epsilon": budget.epsilon - consumed,
+                "headroom_epsilon": bound - consumed,
             }
-        elif isinstance(budget, RDP):
-            curve = np.asarray(budget.curve)
-            used = 0.0
-            for arr in held:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    frac = np.where(curve > 0, arr / curve, np.where(arr > 0, np.inf, 0.0))
-                if frac.size:
-                    used = max(used, float(frac.min(axis=1).max()))
-            out[rule.rule_id] = {"utilization": used}
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fracs = [np.where(bound > 0, a / bound, np.where(a > 0, np.inf, 0.0)) for a in held]
+            out[plan.rule_id] = {"utilization": max([0.0, *(float(f.min(axis=1).max()) for f in fracs)])}
     return out
 
 
@@ -990,7 +989,7 @@ class DecisionPoint:
     def ledger(self, predicate: Predicate, unit: str) -> BlockRows | None:
         """The static store of an active rule with ``predicate`` (up to
         ``_atom``) and ``unit``, off the time axis: the rule's only store."""
-        if self.state.domain.time_axis is None or unit != self.state.domain.time_axis.unit:
+        if unit != self.state.domain.time_unit:
             for rule in self.index.rules:
                 if rule.unit == unit and _atom(rule.predicate) == _atom(predicate):
                     return self.state.ensure(rule.rule_id, CELL_STATIC)

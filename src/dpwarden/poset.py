@@ -84,24 +84,20 @@ class RulePoset:
     """Indexed rule set with its precomputed order relation; a compile-time
     structure for pruning and DOT export."""
 
-    def __init__(self, rules: Sequence[Rule], units: UnitGraph, ups: list[set[int]],
+    def __init__(self, rules: Sequence[Rule], units: UnitGraph, leq: np.ndarray,
                  stats: ComparisonStats):
         self.rules = tuple(rules)
         self.units = units
-        self.ups = ups  # ups[i] = indices j != i with rule_i <= rule_j
+        self.leq = leq  # leq[i, j]: i != j and rule_i <= rule_j
         self.stats = stats
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     def lower_cover_indices(self, i: int) -> tuple[int, ...]:
-        """Maximal strict predecessors of rule i."""
-        strict = {j for j, up in enumerate(self.ups) if i in up and j not in self.ups[i]}
-        # drop j if some other k lies strictly above it
-        return tuple(sorted(
-            j for j in strict
-            if not any(k in self.ups[j] and j not in self.ups[k] for k in strict - {j})
-        ))
+        """Maximal strict predecessors of rule i, ascending."""
+        leq = self.leq
+        strict = np.flatnonzero(leq[:, i] & ~leq[i])
+        among = leq[np.ix_(strict, strict)]
+        # drop j if some other k of them lies strictly above it
+        return tuple(strict[~(among & ~among.T).any(axis=1)].tolist())
 
 
 _BLOCK_BYTES = 1 << 20
@@ -176,8 +172,8 @@ def build_poset(rules: Sequence[Rule], units: UnitGraph) -> RulePoset:
     with every other (``ComparisonStats.base_comparisons`` counts the
     distinct base-key pairs a != b whose rules pass the extension and unit
     tests), and rule i <= rule j is read from the three orders at the ids of
-    the two rules' values.  Equals ``rule_leq`` on every pair, with
-    incomparable keys read as False.
+    the two rules' values.  Equals ``rule_leq`` on every pair i != j, with
+    incomparable keys read as False; the diagonal is False.
     """
     check_unique_ids(rules)
     keys: list[OrderKey] = []
@@ -205,9 +201,7 @@ def build_poset(rules: Sequence[Rule], units: UnitGraph) -> RulePoset:
     reached[base[i], base[j]] = True
     np.fill_diagonal(reached, False)
     stats = ComparisonStats(int(np.count_nonzero(reached)), len(base_keys))
-    leq = passing & _base_order(base_keys)[base[:, None], base]
-    ups = [set(row.nonzero()[0].tolist()) for row in leq]
-    return RulePoset(rules, units, ups, stats)
+    return RulePoset(rules, units, passing & _base_order(base_keys)[base[:, None], base], stats)
 
 
 def _scope_covered(ri: Rule, rj: Rule) -> bool:
@@ -238,7 +232,7 @@ def _dominating_budget(poset: RulePoset, i: int, j: int) -> PrivacyBudget | None
     try:
         if not budget_leq(budget, ri.budget):
             return None
-        if i in poset.ups[j]:
+        if poset.leq[j, i]:
             # scope-equivalent pair: with equal budgets only the earlier rule
             # survives, so the later one may not act as a witness
             if budget_leq(ri.budget, rj.budget) and j > i:
@@ -276,7 +270,7 @@ def prune_with_report(poset: RulePoset) -> tuple[RulePoset, list[PruneRecord]]:
     active: list[int] = []
     for i in range(len(poset.rules)):
         witness: tuple[int, PrivacyBudget] | None = None
-        for j in sorted(poset.ups[i]):
+        for j in np.flatnonzero(poset.leq[i]).tolist():
             implied = _dominating_budget(poset, i, j)
             if implied is not None:
                 witness = (j, implied)
@@ -287,11 +281,9 @@ def prune_with_report(poset: RulePoset) -> tuple[RulePoset, list[PruneRecord]]:
             j, implied = witness
             records.append(PruneRecord(poset.rules[i].rule_id, poset.rules[j].rule_id, implied))
     # the active rules' relation is the parent's restricted to them: no comparison
-    position = {i: k for k, i in enumerate(active)}
-    ups = [{position[j] for j in poset.ups[i] if j in position} for i in active]
     rules = [poset.rules[i] for i in active]
     distinct = len({(r.order_key.base_kind, r.order_key.base_value) for r in rules})
-    return RulePoset(rules, poset.units, ups, ComparisonStats(0, distinct)), records
+    return RulePoset(rules, poset.units, poset.leq[np.ix_(active, active)], ComparisonStats(0, distinct)), records
 
 
 def prune(poset: RulePoset) -> RulePoset:

@@ -38,7 +38,7 @@ from .core import (
     TruePredicate,
     expand_block_range,
 )
-from .decision import BlockDomain, BlockRows, DecisionPoint, RuleIndex, TimeAxis, store_blocks
+from .decision import BlockDomain, BlockRows, DecisionPoint, RuleIndex, TimeAxis, matched_cost, store_blocks
 from .errors import ConfigError, reading
 from .poset import build_poset, prune
 
@@ -57,6 +57,15 @@ DEFAULT_MECHANISMS: dict[str, dict] = {
     "dpsgd": {"levels": [0.05, 0.2, 0.75], "pa_beta": [2.0, 2.0], "family": "gaussian", "ml": True},
     "pate": {"levels": [0.05, 0.2, 0.75], "pa_beta": [2.0, 2.0], "family": "gaussian", "ml": True},
 }
+
+# the largest simulator dimensions, well above paper scale (20 rounds of 504
+# requests, 150 attributes, 10 categories): a round is held at once, and the
+# rule order grows with the square of the attributes and categories; at these
+# bounds a desk-scale round holds 135 MB, and s2 compiles 1,801 rules
+MAX_ROUNDS = 1_000
+MAX_REQUESTS_PER_ROUND = 10_000
+MAX_ATTRIBUTES = 1_500
+MAX_CATEGORIES = 100
 
 
 @dataclass
@@ -103,17 +112,19 @@ class WorkloadConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        for name, value in (
-            ("rounds", self.rounds),
-            ("unlock_rounds", self.unlock_rounds),
-            ("pa_domain_size", self.pa_domain_size),
-            ("pa_range_unit", self.pa_range_unit),
-            ("n_attributes", self.n_attributes),
-            ("n_categories", self.n_categories),
-            ("rounds_per_month", self.rounds_per_month),
+        for name, value, bound in (
+            ("rounds", self.rounds, MAX_ROUNDS),
+            ("unlock_rounds", self.unlock_rounds, math.inf),
+            ("pa_domain_size", self.pa_domain_size, math.inf),
+            ("pa_range_unit", self.pa_range_unit, math.inf),
+            ("n_attributes", self.n_attributes, MAX_ATTRIBUTES),
+            ("n_categories", self.n_categories, MAX_CATEGORIES),
+            ("rounds_per_month", self.rounds_per_month, math.inf),
         ):
             if value < 1:
                 raise ConfigError(f"{name} must be positive")
+            if value > bound:
+                raise ConfigError(f"{name} must be at most {bound}, got {value!r}")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
         if self.month_window < 2:
@@ -123,6 +134,8 @@ class WorkloadConfig:
             raise ConfigError("utility exponents must be non-negative")
         if self.requests_per_round <= 0 or self.total_epsilon <= 0:
             raise ConfigError("request rate and total budget must be positive")
+        if self.requests_per_round > MAX_REQUESTS_PER_ROUND:
+            raise ConfigError(f"requests_per_round must be at most {MAX_REQUESTS_PER_ROUND}")
         for name, p in (
             ("attr_continue_prob", self.attr_continue_prob),
             ("cat_continue_prob", self.cat_continue_prob),
@@ -168,7 +181,7 @@ class WorkloadConfig:
 
     @classmethod
     def paper_scale(cls, scenario: str, total_epsilon: float, rng_seed: int = 0) -> "WorkloadConfig":
-        """Published-evaluation dimensions; slow, for reference runs only."""
+        """Published-evaluation dimensions: an instance takes about 1-2.5 s."""
         return cls(
             scenario=scenario,
             total_epsilon=total_epsilon,
@@ -645,23 +658,14 @@ class _Scope:
         return store is not None
 
     def add(self, request: ReleaseRequest, matched: frozenset[int]) -> None:
-        """Charge the request's selection with the summed cost of the
+        """Charge the request's selection with the ``matched_cost`` of the
         mechanisms that match the scope's predicate, whose indices
         ``matched`` holds: summed first, then added once, as the commit does."""
         if self.month is not None and request.time_step != self.month:
             return
-        if request.pa_selection.size == 0:
-            return
-        costs = []
-        for m in sorted(matched):
-            cost = request.mechanisms[m].cost_by_unit.get(self.unit)
-            if cost is not None:
-                costs.append(cost.curve)
-        if costs:
-            total = np.array(costs[0])
-            for curve in costs[1:]:
-                total += curve
-            self._acc.add(store_blocks(request.pa_selection), total)
+        cost = matched_cost(request.mechanisms, matched, self.unit)
+        if cost is not None:
+            self._acc.add(store_blocks(request.pa_selection), cost)
 
     def report(self) -> ScopeCost:
         rows = self._acc.held_rows()
@@ -734,8 +738,7 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
     domain = BlockDomain(("pa",), cfg.pa_domain_size, time_axis)
     point = DecisionPoint(poset, policy.per_release, domain)
     scopes = _build_scopes(cfg, schema)
-    own = [scope for scope in scopes if not scope.share(point)]
-    scope_index = RuleIndex(own)
+    scope_index = RuleIndex([scope for scope in scopes if not scope.share(point)])
 
     reports: list[RoundReport] = []
     cumulative_utility = 0.0
@@ -750,7 +753,7 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
             if month > point.state.now:
                 point.advance_time(month)
         unlocked = min(1.0, round_no / cfg.unlock_rounds)
-        round_utility = _offer_round(point, next(rounds), unlocked, own, scope_index)
+        round_utility = _offer_round(point, next(rounds), unlocked, scope_index)
         cumulative_utility += round_utility
         reports.append(
             RoundReport(
@@ -764,16 +767,16 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
 
 
 def _offer_round(point: DecisionPoint, batch: list[ReleaseRequest], unlocked: float,
-                 own: list[_Scope], scope_index: RuleIndex) -> float:
+                 scope_index: RuleIndex) -> float:
     """Offer a round's requests by descending utility, charge the scopes
-    that keep their own store with each accepted one, and return the
-    utility accepted."""
+    that keep their own store, the items of ``scope_index``, with each
+    accepted one, and return the utility accepted."""
     utility = 0.0
     for request in sorted(batch, key=lambda q: -q.utility):
         decision = point.process(request, budget_scale=unlocked)
         if decision.accepted:
             utility += request.utility
-            for scope, matched in zip(own, scope_index.match(request.mechanisms)):
+            for scope, matched in zip(scope_index.rules, scope_index.match(request.mechanisms)):
                 if matched:
                     scope.add(request, matched)
     return utility

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dpwarden.accounting import calibrate_gaussian_rho, gaussian_curve
+from dpwarden.accounting import calibrate_gaussian_rho, gaussian_curve, pure_curve
 from dpwarden.cli import main
 from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import DEFAULT_ALPHA_ORDERS
@@ -703,3 +703,75 @@ def test_check_refuses_a_canonical_looking_state_that_is_malformed(desk_stream, 
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err and captured.out == ""
     assert bad_state.read_text() == edited
+
+
+def _readme_policy_doc():
+    """README's minimal policy: a per-attribute epsilon of 1 on ``age`` and
+    ``income``, and a global epsilon of 3."""
+    doc = policy_doc()
+    doc["attributes"] = ["age", "income"]
+    doc["base_policies"][1]["attributes"] = {"age": "high", "income": "high"}
+    doc["per_release_policies"] = []
+    return doc
+
+
+def test_check_refuses_labels_given_as_a_bare_string(tmp_path, capsys):
+    """A string where a document lists names would be read as its
+    characters: ``{"attr": "age"}`` as the labels a, e and g, which no
+    per-attribute rule on ``age`` matches."""
+    policies, rules, state, request = (tmp_path / n for n in ("policies.json", "rules.json",
+                                                              "state.json", "req.json"))
+    policies.write_text(json.dumps(_readme_policy_doc()))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 0
+    check = ["check", "--rules", str(rules), "--state", str(state), "--request", str(request),
+             "--blocks", "4"]
+    doc = request_doc(0.1, attrs=("income",))
+    request.write_text(json.dumps(doc))
+    assert main(check) == 0
+    # a pure epsilon-2 release on age fits the global 3 but not age's 1
+    doc["mechanisms"][0]["cost_by_unit"]["user"]["curve"] = list(pure_curve(2.0).curve)
+    doc["mechanisms"][0]["labels"] = {"attr": ["age"]}
+    request.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(check) == 1
+    assert json.loads(capsys.readouterr().out)["violations"][0]["rule"] == "attrs.age"
+    doc["mechanisms"][0]["labels"] = {"attr": "age"}
+    request.write_text(json.dumps(doc))
+    before = state.read_bytes()
+    assert main(check) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "'attr'" in captured.err and captured.out == ""
+    assert state.read_bytes() == before
+
+
+def test_compile_refuses_attrs_given_as_a_bare_string(tmp_path, capsys):
+    doc = _readme_policy_doc()
+    doc["base_policies"].append({
+        "type": "custom", "name": "ages", "unit": "user",
+        "predicate": {"op": "attr_intersects", "attrs": "age"},
+        "budget": {"kind": "adp", "epsilon": 2.0, "delta": 1e-7},
+        "annotation": [1],
+    })
+    policies, rules = tmp_path / "policies.json", tmp_path / "rules.json"
+    policies.write_text(json.dumps(doc))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 2
+    assert "attrs" in capsys.readouterr().err
+    assert not rules.exists()
+
+
+def test_check_refuses_a_rule_set_with_attrs_given_as_a_bare_string(check_files, tmp_path, capsys):
+    check, state, _ = check_files
+    rules_path = check[check.index("--rules") + 1]
+    rules = json.loads(Path(rules_path).read_text())
+    rule = next(r for r in rules["rules"] if r["predicate"]["op"] == "attr_intersects")
+    rule["predicate"]["attrs"] = "a1"
+    edited = tmp_path / "rules.json"
+    edited.write_text(json.dumps(rules))
+    argv = list(check)
+    argv[argv.index(rules_path)] = str(edited)
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "attrs" in captured.err
+    assert captured.out == "" and state.read_bytes() == before

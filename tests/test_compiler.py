@@ -528,3 +528,29 @@ def test_compiled_output_of_the_scenario_documents_is_pinned(scenario, epsilon):
     }
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert digest == COMPILED_DIGESTS[(scenario, epsilon)]
+
+
+# sha256 of ``to_dot`` of the same documents: the whole rule order, its
+# covers and the grey pruned rules, as ``dpwarden compile --dot`` writes it
+DOT_DIGESTS = {
+    ("s1", 3.0): "a630b7ef3dc21dca1125f49ea120617008914d8784aff95004c5a6788c3e42f3",
+    ("s1", 20.0): "beb405b69d11f485c90e13e6f1b1ee6168e5dad7cce7c1f1ccf53e6ec23ee101",
+    ("s2", 3.0): "791d959ec74e8730b0b61a81474430e994afbb39c4c2fb0a641696d2056d6ddd",
+    ("s2", 20.0): "f85f151d2e75a3c915f3181fbaf12f6b9cf40befc3390f9d4734e6c9f2f7f35f",
+    ("s3", 3.0): "d4e203402630953b767d3488391d2520f9257f27d8f6f60f5c94c83e7b279b70",
+    ("s3", 20.0): "cd032aa7f8593389681ecbbe0cef3f16c394b5b481f270afc85f3b16b6e9ebbf",
+}
+
+
+@pytest.mark.parametrize("scenario, epsilon", sorted(DOT_DIGESTS))
+def test_dot_of_the_scenario_documents_is_pinned(scenario, epsilon):
+    import hashlib
+
+    from dpwarden.poset import build_poset, prune_with_report, to_dot
+
+    cfg = WorkloadConfig.desk_scale(scenario, epsilon)
+    ps = parse_policy_set(build_policy_document(cfg, build_schema(cfg)))
+    poset = build_poset(compile_policy_set(ps), ps.unit_graph())
+    _, records = prune_with_report(poset)
+    dot = to_dot(poset, [rec.rule_id for rec in records])
+    assert hashlib.sha256(dot.encode()).hexdigest() == DOT_DIGESTS[(scenario, epsilon)]

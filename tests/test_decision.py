@@ -832,6 +832,14 @@ def test_headroom_reports_consumption():
     assert room["headroom_epsilon"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("scale", [-1.0, float("nan")])
+def test_headroom_refuses_a_negative_or_nan_scale(scale):
+    point = _monthly_point()
+    point.process(_time_request("q1", 6, eps=2.0))
+    with pytest.raises(ValidationError):
+        decision.headroom(point.state, point.index, scale)
+
+
 # ---------------------------------------------------------------------------
 # The state file codec against json.dumps / json.loads
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -217,7 +218,7 @@ def test_prune_never_removes_strictly_tighter_rules():
         poset = build_poset(rules, units)
         active_ids = {r.rule_id for r in prune(poset).rules}
         for i, rule in enumerate(poset.rules):
-            dominators = poset.ups[i]
+            dominators = np.flatnonzero(poset.leq[i]).tolist()
             if not dominators:
                 assert rule.rule_id in active_ids
                 continue
@@ -226,6 +227,27 @@ def test_prune_never_removes_strictly_tighter_rules():
             )
             if strictly_below_all:
                 assert rule.rule_id in active_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twins=st.lists(st.integers(0, 11), min_size=1, max_size=3))
+def test_lower_covers_are_the_maximal_strict_predecessors(seed, twins):
+    rules, units = random_rule_set(np.random.default_rng(seed))
+    # a rule's copy under another id is scope-equivalent to it: each lies
+    # below the other, so neither is a strict predecessor of the other
+    rules += [dataclasses.replace(rules[k % len(rules)], rule_id=f"twin{n}") for n, k in enumerate(twins)]
+    poset = build_poset(rules, units)
+
+    def below(a, b):
+        try:
+            return rule_leq(rules[a], rules[b], units) and not rule_leq(rules[b], rules[a], units)
+        except IncomparableKeys:
+            return False
+
+    for i in range(len(rules)):
+        strict = [j for j in range(len(rules)) if below(j, i)]
+        want = tuple(j for j in strict if not any(below(j, k) for k in strict))
+        assert poset.lower_cover_indices(i) == want
 
 
 def test_comparison_count_within_decomposition_bound():
@@ -349,16 +371,21 @@ def _pairwise_relation(rules, units):
     return ups, ComparisonStats(len(reached), len({base(r) for r in rules}))
 
 
+def _ups(leq):
+    """Each row of an order matrix as the set of indices above it."""
+    return [set(np.flatnonzero(row).tolist()) for row in leq]
+
+
 def _assert_matches_pairwise(rules, units):
     poset = build_poset(rules, units)
     ups, stats = _pairwise_relation(rules, units)
     assert poset.rules == tuple(rules)
-    assert poset.ups == ups
+    assert poset.leq.dtype == bool and _ups(poset.leq) == ups
     assert poset.stats == stats
     # pruning restricts that relation to the active rules and compares nothing
     active = prune(poset)
     active_ups, active_stats = _pairwise_relation(list(active.rules), units)
-    assert active.ups == active_ups
+    assert _ups(active.leq) == active_ups
     assert active.stats == ComparisonStats(0, active_stats.distinct_base_keys)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -13,6 +14,10 @@ from dpwarden.decision import BlockDomain, DecisionPoint, RuleIndex
 from dpwarden.errors import ConfigError, DPWardenError
 from dpwarden.workload import (
     DEFAULT_MECHANISMS,
+    MAX_ATTRIBUTES,
+    MAX_CATEGORIES,
+    MAX_REQUESTS_PER_ROUND,
+    MAX_ROUNDS,
     S1_BUDGET_TABLE,
     WorkloadConfig,
     build_policy_document,
@@ -54,6 +59,21 @@ def test_config_round_trip_and_validation():
         WorkloadConfig.from_dict({"scenario": "s1", "no_such_knob": 1})
     with pytest.raises(ConfigError):
         WorkloadConfig(scenario="s1", blackbox_rate=1.5)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("rounds", MAX_ROUNDS),
+    ("requests_per_round", float(MAX_REQUESTS_PER_ROUND)),
+    ("n_attributes", MAX_ATTRIBUTES),
+    ("n_categories", MAX_CATEGORIES),
+])
+def test_a_dimension_past_its_bound_is_refused(name, bound):
+    """Each is refused at construction, before anything is sized by it; the
+    bound itself is accepted, and nothing here runs either."""
+    assert getattr(WorkloadConfig(**{name: bound}), name) == bound
+    past = math.nextafter(bound, math.inf) if isinstance(bound, float) else bound + 1
+    with pytest.raises(ConfigError, match=f"{name} must be at most"):
+        WorkloadConfig(**{name: past})
 
 
 @pytest.mark.parametrize("fields", [
