@@ -35,6 +35,8 @@ from .core import (
     budget_from_dict,
     conjunction_atoms,
     predicate_from_dict,
+    read_list,
+    read_real,
 )
 from .errors import BudgetFnDomain, ParseError, UnsupportedVariant, ValidationError, reading
 
@@ -121,9 +123,10 @@ def budget_fn_from_dict(d: Mapping) -> BudgetFn:
     if kind == "identity":
         return Identity()
     if kind == "scale":
-        return Scale(d["factor"])
+        return Scale(read_real(d["factor"], "scale factor"))
     if kind == "map_table":
-        return MapTable(tuple(tuple(k) for k in d["knots"]), bool(d.get("clamp", True)))
+        knots = tuple((read_real(x, "map-table knot"), read_real(y, "map-table knot")) for x, y in d["knots"])
+        return MapTable(knots, bool(d.get("clamp", True)))
     raise ValidationError(f"unknown budget function kind {kind!r}")
 
 
@@ -272,7 +275,7 @@ def _parse_extension_policy(d: Mapping, units: set[str]) -> ExtensionPolicy:
     for e in d["extensions"]:
         scope = e.get("unit_scope")
         if scope is not None:
-            scope = frozenset(scope)
+            scope = frozenset(read_list(scope, "unit_scope"))
             unknown = scope - units
             if unknown:
                 raise ValidationError(f"extension policy {name!r}: unknown units in scope {sorted(unknown)}")
@@ -301,8 +304,8 @@ def parse_policy_set(document: Union[str, Mapping]) -> PolicySet:
 
         units = UnitGraph.from_dicts(doc["units"])  # validates the declared order
         unit_names = set(units.units)
-        attributes = tuple(doc.get("attributes", ()))
-        categories = tuple(doc.get("categories", ()))
+        attributes = tuple(read_list(doc.get("attributes", ()), "attributes"))
+        categories = tuple(read_list(doc.get("categories", ()), "categories"))
         attr_set, cat_set = set(attributes), set(categories)
         if len(attr_set) != len(attributes):
             raise ValidationError("duplicate attribute names")

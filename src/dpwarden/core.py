@@ -66,6 +66,14 @@ def read_real(value, name: str) -> float:
     return float(value)
 
 
+def read_list(value, name: str):
+    """A list field of a document.  ``frozenset()`` would also read a
+    string as its characters and a mapping as its keys."""
+    if isinstance(value, (str, Mapping)):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Privacy budgets
 # ---------------------------------------------------------------------------
@@ -160,15 +168,17 @@ def budget_to_dict(b: PrivacyBudget) -> dict:
 
 
 def budget_from_dict(d: Mapping) -> PrivacyBudget:
+    """A budget document.  Every number must be finite: the constructors
+    take the infinite epsilons that conversions make on purpose."""
     kind = d.get("kind")
     if kind == "pure_dp":
-        return PureDP(d["epsilon"])
+        return PureDP(read_real(d["epsilon"], "epsilon"))
     if kind == "adp":
-        return ADP(d["epsilon"], d["delta"])
+        return ADP(read_real(d["epsilon"], "epsilon"), read_real(d["delta"], "delta"))
     if kind == "rdp":
-        return RDP(tuple(d["curve"]))
+        return RDP(tuple(read_real(c, "RDP curve entry") for c in read_list(d["curve"], "RDP curve")))
     if kind == "zcdp":
-        return ZCDP(d["rho"])
+        return ZCDP(read_real(d["rho"], "rho"))
     raise ValidationError(f"unknown budget kind {kind!r}")
 
 
@@ -192,7 +202,7 @@ class PrivacyUnit:
 
     def __post_init__(self):
         _check_name(self.name, "unit name")
-        object.__setattr__(self, "ord_above", frozenset(self.ord_above))
+        object.__setattr__(self, "ord_above", frozenset(read_list(self.ord_above, f"units above {self.name!r}")))
         factors = {}
         for tgt, k in self.group_factor_to.items():
             _check_name(tgt, "unit name")
@@ -266,7 +276,7 @@ class UnitGraph:
         return cls(
             PrivacyUnit(
                 d["name"],
-                frozenset(d.get("above", ())),
+                d.get("above", ()),
                 d.get("group_factor_to", {}),
             )
             for d in dicts
@@ -290,9 +300,7 @@ class LabelSet:
         data: dict[str, frozenset[str]] = {}
         for key, values in (entries or {}).items():
             _check_name(key, "label key")
-            if isinstance(values, str):  # a string would be read as its characters
-                raise ValidationError(f"label {key!r} must list its values, not be the string {values!r}")
-            vs = frozenset(values)
+            vs = frozenset(read_list(values, f"label {key!r}"))
             for v in vs:
                 _check_name(v, f"label value for {key!r}")
             if vs:
@@ -312,9 +320,6 @@ class LabelSet:
     def keys(self):
         return self._entries.keys()
 
-    def items(self):
-        return self._entries.items()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LabelSet) and self._entries == other._entries
 
@@ -328,10 +333,6 @@ class LabelSet:
 
     def to_dict(self) -> dict:
         return {k: sorted(v) for k, v in sorted(self._entries.items())}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "LabelSet":
-        return cls(d)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +367,7 @@ class AttrIntersects:
     attrs: frozenset[str]
 
     def __post_init__(self):
-        if isinstance(self.attrs, str):  # a string would be read as its characters
-            raise ValidationError(f"attrs must list attribute names, not be the string {self.attrs!r}")
-        object.__setattr__(self, "attrs", frozenset(self.attrs))
+        object.__setattr__(self, "attrs", frozenset(read_list(self.attrs, "attrs")))
         for a in self.attrs:
             _check_name(a, "attribute name")
 
@@ -515,9 +514,9 @@ class OrderKey:
         base = d["base"]
         kind = base["kind"]
         if kind == BASE_ATTRS:
-            value: frozenset | tuple = frozenset(base["attrs"])
+            value: frozenset | tuple = frozenset(read_list(base["attrs"], "order-key attrs"))
         elif kind == BASE_ATOMS:
-            value = frozenset(tuple(x) for x in base["atoms"])
+            value = frozenset(tuple(x) for x in read_list(base["atoms"], "order-key atoms"))
         elif kind == BASE_RANKS:
             value = tuple(base["ranks"])
         else:
@@ -635,7 +634,7 @@ class Mechanism:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Mechanism":
         return cls(
-            LabelSet.from_dict(d.get("labels", {})),
+            LabelSet(d.get("labels", {})),
             {u: budget_from_dict(c) for u, c in d.get("cost_by_unit", {}).items()},
         )
 

@@ -487,15 +487,6 @@ class FilterState:
                 hist.maximum(per_rule.pop(cell))
         self.now = new_now
 
-    def copy(self) -> "FilterState":
-        dup = FilterState(self.domain)
-        dup.now = self.now
-        dup._cells = {
-            rid: {cell: store.copy() for cell, store in per_rule.items()}
-            for rid, per_rule in self._cells.items()
-        }
-        return dup
-
     # -- serialization --------------------------------------------------------
 
     def _held(self) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
@@ -698,8 +689,6 @@ _NO_MECHANISMS: frozenset[int] = frozenset()
 # the match of every rule that the one mechanism of a request satisfies
 _FIRST_MECHANISM: frozenset[int] = frozenset({0})
 
-_STATIC_CELLS = (CELL_STATIC,)
-
 # accepting decisions are immutable, so every request shares them
 _PASSED = Decision(True, "per_release")
 _ACCEPTED = Decision(True, "accepted")
@@ -899,7 +888,7 @@ def check_and_commit(
     violations: list[Violation] = []
     for plan, mech_idx in compress(zip(plans, matches), matches):
         # cells_for runs on an empty selection too: it refuses an unknown step
-        cells = state.cells_for(True, request.time_step) if plan.unit == time_unit else _STATIC_CELLS
+        cells = state.cells_for(plan.unit == time_unit, request.time_step)
         if not sel.size:
             continue
         cost = costs.get((plan.unit, mech_idx))
@@ -994,9 +983,6 @@ class DecisionPoint:
                 if rule.unit == unit and _atom(rule.predicate) == _atom(predicate):
                     return self.state.ensure(rule.rule_id, CELL_STATIC)
         return None
-
-    def advance_time(self, new_now: int) -> None:
-        self.state.collapse_time(new_now)
 
     def headroom(self, budget_scale: float = 1.0) -> dict[str, dict]:
         return headroom(self.state, self.index, budget_scale)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,13 +25,10 @@ from .compiler import MapTable, MembershipLevel, compile_policy_set, parse_polic
 from .core import (
     ADP,
     AttrIntersects,
-    BASE_TOP,
     HasLabel,
     LabelSet,
     Mechanism,
-    OrderKey,
     Predicate,
-    Provenance,
     RDP,
     ReleaseRequest,
     Rule,
@@ -705,16 +702,7 @@ def _build_scopes(cfg: WorkloadConfig, schema: WorkloadSchema) -> list[_Scope]:
 
 
 def _baseline_rules(cfg: WorkloadConfig) -> list[Rule]:
-    return [
-        Rule(
-            "global_filter",
-            TruePredicate(),
-            "user",
-            ADP(cfg.total_epsilon, cfg.delta_budget),
-            Provenance("global_filter", 0),
-            OrderKey(BASE_TOP, (), (), "user"),
-        )
-    ]
+    return [Rule("global_filter", TruePredicate(), "user", ADP(cfg.total_epsilon, cfg.delta_budget))]
 
 
 def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
@@ -724,11 +712,10 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
         raise ConfigError(f"mode must be 'dpolicy' or 'baseline', got {mode!r}")
     schema = build_schema(cfg)
     policy = parse_policy_set(build_policy_document(cfg, schema))
-    units = policy.unit_graph()
     if mode == "dpolicy":
-        poset = prune(build_poset(compile_policy_set(policy), units))
+        rules = prune(build_poset(compile_policy_set(policy), policy.unit_graph())).rules
     else:
-        poset = build_poset(_baseline_rules(cfg), units)
+        rules = _baseline_rules(cfg)
 
     time_axis = (
         TimeAxis("user-month", cfg.month_window, cfg.start_month)
@@ -736,7 +723,7 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
         else None
     )
     domain = BlockDomain(("pa",), cfg.pa_domain_size, time_axis)
-    point = DecisionPoint(poset, policy.per_release, domain)
+    point = DecisionPoint(rules, policy.per_release, domain)
     scopes = _build_scopes(cfg, schema)
     scope_index = RuleIndex([scope for scope in scopes if not scope.share(point)])
 
@@ -751,7 +738,7 @@ def run_scenario(cfg: WorkloadConfig, mode: str = "dpolicy") -> ScenarioResult:
         if time_axis is not None:
             month = month_of_round(cfg, round_no)
             if month > point.state.now:
-                point.advance_time(month)
+                point.state.collapse_time(month)
         unlocked = min(1.0, round_no / cfg.unlock_rounds)
         round_utility = _offer_round(point, next(rounds), unlocked, scope_index)
         cumulative_utility += round_utility

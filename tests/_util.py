@@ -36,7 +36,6 @@ from dpwarden.core import (
     eval_predicate,
 )
 from dpwarden.decision import CELL_FUTURE, CELL_HIST, CELL_STATIC, step_cell
-from dpwarden.poset import build_poset
 
 ATTR_UNIVERSE = tuple(f"x{i}" for i in range(6))
 BUDGET_GRID = (0.5, 1.0, 1.5, 2.0, 3.0)

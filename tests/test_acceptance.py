@@ -6,6 +6,7 @@ desk-scale scenario properties, sampling statistics, and the Gaussian
 calibration round trip.
 """
 
+import copy
 import hashlib
 import math
 import sys
@@ -28,7 +29,6 @@ from dpwarden.accounting import (
     epsilon_for_auxiliary_unit,
     gaussian_sigma,
     group_privacy,
-    rdp_to_adp,
     scale_budget,
     zcdp_to_adp,
 )
@@ -173,7 +173,7 @@ def test_decision_point_soundness():
             random_trace(rng, units, domain_size=2048, max_requests=50, time_steps=steps)
         ):
             check_this = n_rejects_checked < 300 and rng.random() < 0.2
-            snapshot = point.state.copy() if check_this else None
+            snapshot = copy.deepcopy(point.state) if check_this else None
             if point.process(request, budget_scale=scale).accepted:
                 accepted.append(request)
             elif snapshot is not None:

@@ -18,7 +18,6 @@ from dpwarden.accounting import (
     gaussian_curve,
     gaussian_sigma,
     group_privacy,
-    pure_curve,
     rdp_epsilon,
     rdp_to_adp,
     rows_within,

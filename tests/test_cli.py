@@ -744,34 +744,94 @@ def test_check_refuses_labels_given_as_a_bare_string(tmp_path, capsys):
     assert state.read_bytes() == before
 
 
-def test_compile_refuses_attrs_given_as_a_bare_string(tmp_path, capsys):
+def _compile_with_attrs(tmp_path, capsys, attrs):
+    """Compile README's policy plus a custom rule on ``attrs``: assert that
+    compile exits 2 and writes nothing, and return its error output."""
     doc = _readme_policy_doc()
     doc["base_policies"].append({
         "type": "custom", "name": "ages", "unit": "user",
-        "predicate": {"op": "attr_intersects", "attrs": "age"},
+        "predicate": {"op": "attr_intersects", "attrs": attrs},
         "budget": {"kind": "adp", "epsilon": 2.0, "delta": 1e-7},
         "annotation": [1],
     })
     policies, rules = tmp_path / "policies.json", tmp_path / "rules.json"
     policies.write_text(json.dumps(doc))
     assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 2
-    assert "attrs" in capsys.readouterr().err
     assert not rules.exists()
+    return capsys.readouterr().err
 
 
-def test_check_refuses_a_rule_set_with_attrs_given_as_a_bare_string(check_files, tmp_path, capsys):
-    check, state, _ = check_files
-    rules_path = check[check.index("--rules") + 1]
-    rules = json.loads(Path(rules_path).read_text())
-    rule = next(r for r in rules["rules"] if r["predicate"]["op"] == "attr_intersects")
-    rule["predicate"]["attrs"] = "a1"
-    edited = tmp_path / "rules.json"
-    edited.write_text(json.dumps(rules))
+def _check_refuses(check_files, tmp_path, capsys, rules_edit=None, request=None):
+    """Run ``check`` on an edited copy of the rule set or on another request:
+    assert that it exits 2, prints no verdict and leaves the state file, and
+    return its error output."""
+    check, state, request_path = check_files
     argv = list(check)
-    argv[argv.index(rules_path)] = str(edited)
+    if rules_edit is not None:
+        rules_path = check[check.index("--rules") + 1]
+        rules = json.loads(Path(rules_path).read_text())
+        rules_edit(rules)
+        edited = tmp_path / "rules.json"
+        edited.write_text(json.dumps(rules))
+        argv[argv.index(rules_path)] = str(edited)
+    if request is not None:
+        request_path.write_text(json.dumps(request))
     before = state.read_bytes()
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "attrs" in captured.err
-    assert captured.out == "" and state.read_bytes() == before
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert state.read_bytes() == before
+    return captured.err
+
+
+def _attrs_of_the_first_attribute_rule(value):
+    def edit(rules):
+        rule = next(r for r in rules["rules"] if r["predicate"]["op"] == "attr_intersects")
+        rule["predicate"]["attrs"] = value
+
+    return edit
+
+
+def test_compile_refuses_attrs_given_as_a_bare_string(tmp_path, capsys):
+    assert "attrs" in _compile_with_attrs(tmp_path, capsys, "age")
+
+
+def test_check_refuses_a_rule_set_with_attrs_given_as_a_bare_string(check_files, tmp_path, capsys):
+    assert "attrs" in _check_refuses(check_files, tmp_path, capsys, _attrs_of_the_first_attribute_rule("a1"))
+
+
+def test_check_refuses_a_cost_curve_of_bools(check_files, tmp_path, capsys):
+    """``true`` would be read as a cost of 1.0 at every order."""
+    doc = request_doc(0.1)
+    doc["mechanisms"][0]["cost_by_unit"]["user"]["curve"] = [True] * len(DEFAULT_ALPHA_ORDERS)
+    _check_refuses(check_files, tmp_path, capsys, request=doc)
+
+
+@pytest.mark.parametrize("epsilon", ['"3"', "1e400"])
+def test_compile_refuses_a_budget_epsilon_that_is_not_a_finite_number(tmp_path, capsys, epsilon):
+    """A string would be read as its number, and 1e400 as an infinite
+    epsilon: a rule that never binds."""
+    doc = policy_doc()
+    doc["base_policies"][0]["budget"]["epsilon"] = "EPSILON"
+    policies, rules = tmp_path / "policies.json", tmp_path / "rules.json"
+    policies.write_text(json.dumps(doc).replace('"EPSILON"', epsilon))
+    assert main(["compile", "--policies", str(policies), "-o", str(rules)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not rules.exists()
+
+
+def test_check_refuses_labels_given_as_a_mapping(check_files, tmp_path, capsys):
+    """A mapping where a document lists names would be read as its keys."""
+    doc = request_doc(0.1)
+    doc["mechanisms"][0]["labels"] = {"attr": {"a1": 1}}
+    assert "'attr'" in _check_refuses(check_files, tmp_path, capsys, request=doc)
+
+
+def test_compile_refuses_attrs_given_as_a_mapping(tmp_path, capsys):
+    assert "attrs" in _compile_with_attrs(tmp_path, capsys, {"age": 0})
+
+
+def test_check_refuses_a_rule_set_with_attrs_given_as_a_mapping(check_files, tmp_path, capsys):
+    edit = _attrs_of_the_first_attribute_rule({"a1": 0})
+    assert "attrs" in _check_refuses(check_files, tmp_path, capsys, edit)

@@ -96,7 +96,7 @@ def test_check_and_advance_match_an_in_process_replay(tmp_path_factory):
             def replay():
                 if not self.state.exists():
                     raise DPWardenError("no state file")
-                self.point.advance_time(to)
+                self.point.state.collapse_time(to)
                 return 0
 
             self._run(["advance", "--state", str(self.state), "--to", str(to)], _expected_exit(replay))

@@ -10,6 +10,7 @@ from dpwarden.compiler import (
     MapTable,
     Scale,
     apply_extensions,
+    budget_fn_from_dict,
     compile_policy_set,
     parse_policy_set,
 )
@@ -434,13 +435,7 @@ def test_extension_unit_scope_filters_budget_fn():
 def test_extension_policy_order_independence():
     # commuting (all-Scale) budget functions: permuting the extension
     # policies must not change any accept/reject decision
-    import sys
-    from pathlib import Path
-
-    sys.path.insert(0, str(Path(__file__).parent))
-    from _util import random_request
-
-    from dpwarden.core import Mechanism, ReleaseRequest, UnitGraph, PrivacyUnit
+    from dpwarden.core import Mechanism, ReleaseRequest
     from dpwarden.decision import BlockDomain, DecisionPoint
     from dpwarden.poset import build_poset
 
@@ -554,3 +549,36 @@ def test_dot_of_the_scenario_documents_is_pinned(scenario, epsilon):
     _, records = prune_with_report(poset)
     dot = to_dot(poset, [rec.rule_id for rec in records])
     assert hashlib.sha256(dot.encode()).hexdigest() == DOT_DIGESTS[(scenario, epsilon)]
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "scale", "factor": "2"},
+    {"kind": "scale", "factor": True},
+    {"kind": "map_table", "knots": [[1.0, 2.0], ["2", 3.0]]},
+    {"kind": "map_table", "knots": [[1.0, 2.0], [2.0, float("inf")]]},
+])
+def test_a_budget_function_document_reads_only_finite_numbers(doc):
+    with pytest.raises(ValidationError):
+        budget_fn_from_dict(doc)
+
+
+def _attributes_as_a_mapping(doc):
+    doc["attributes"] = {"a1": 0}
+
+
+def _unit_above_as_a_mapping(doc):
+    doc["units"] = [{"name": "user"}, {"name": "month", "above": {"user": 1}}]
+
+
+def _unit_scope_as_a_mapping(doc):
+    doc["extension_policies"] = [context_extension_policy()]
+    doc["extension_policies"][0]["extensions"][0]["unit_scope"] = {"user": 1}
+
+
+@pytest.mark.parametrize("edit", [_attributes_as_a_mapping, _unit_above_as_a_mapping, _unit_scope_as_a_mapping])
+def test_a_policy_document_refuses_a_mapping_where_names_belong(edit):
+    """A mapping would be read as its keys."""
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(ValidationError):
+        parse_policy_set(doc)

@@ -11,6 +11,7 @@ from dpwarden.core import (
     AttrIntersects,
     HasLabel,
     LabelSet,
+    Mechanism,
     Not,
     Or,
     PrivacyUnit,
@@ -27,10 +28,13 @@ from dpwarden.core import (
     eval_predicate,
     expand_block_range,
     predicate_from_dict,
+    OrderKey,
     predicate_to_dict,
 )
-from dpwarden.errors import ValidationError, VariantMismatch
+from dpwarden.decision import BlockDomain, TimeAxis
+from dpwarden.errors import ConfigError, ValidationError, VariantMismatch
 from dpwarden.accounting import gaussian_curve
+from dpwarden.workload import WorkloadConfig, request_cost_curve, run_scenario
 
 
 def _padded(*head):
@@ -397,3 +401,75 @@ def test_rule_serialization_round_trip():
         OrderKey(BASE_ATTRS, frozenset({"a1"}), (0,), "user"),
     )
     assert Rule.from_dict(rule.to_dict()) == rule
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "adp", "epsilon": "3", "delta": "1e-7"},
+    {"kind": "adp", "epsilon": float("inf"), "delta": 1e-7},
+    {"kind": "adp", "epsilon": 3.0, "delta": True},
+    {"kind": "pure_dp", "epsilon": True},
+    {"kind": "rdp", "curve": [True] * len(DEFAULT_ALPHA_ORDERS)},
+    {"kind": "rdp", "curve": ["0.1"] * len(DEFAULT_ALPHA_ORDERS)},
+    {"kind": "zcdp", "rho": "inf"},
+    {"kind": "zcdp", "rho": float("nan")},
+])
+def test_a_budget_document_reads_only_finite_numbers(doc):
+    """``float()`` would read a string as its number, true as 1.0 and
+    "inf" or 1e400 as an infinite budget that never binds."""
+    with pytest.raises(ValidationError):
+        budget_from_dict(doc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LabelSet({"attr": {"age": 1}}),
+    lambda: AttrIntersects({"age": 0}),
+    lambda: predicate_from_dict({"op": "attr_intersects", "attrs": {"age": 0}}),
+    lambda: PrivacyUnit("user", {"month": 1}),
+    lambda: OrderKey.from_dict({"base": {"kind": "attrs", "attrs": {"a1": 0}}, "unit": "user"}),
+])
+def test_a_mapping_where_names_belong_is_refused(build):
+    """A mapping would be read as its keys."""
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_an_empty_attribute_set_is_kept():
+    """A category with no member attributes compiles to one."""
+    assert AttrIntersects(frozenset()).attrs == frozenset()
+    assert predicate_from_dict({"op": "attr_intersects", "attrs": []}) == AttrIntersects(frozenset())
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: TimeAxis("month", 3, -1), ValidationError, "horizon", id="time-axis-negative-horizon"),
+    pytest.param(lambda: BlockDomain(("pa",), 0), ValidationError, "domain size", id="domain-without-blocks"),
+    pytest.param(lambda: UnitGraph([PrivacyUnit("user"), PrivacyUnit("user")]), ValidationError, "duplicate unit",
+                 id="duplicate-unit"),
+    pytest.param(lambda: PrivacyUnit("user", group_factor_to={"month": 0}), ValidationError, "group factor",
+                 id="group-factor-below-1"),
+    pytest.param(lambda: OrderKey("nope", (), (), "user"), ValidationError, "order-key kind",
+                 id="unknown-order-key-kind"),
+    pytest.param(lambda: Mechanism(LabelSet(), {"user": ADP(1.0, 1e-7)}), ValidationError, "RDP curve",
+                 id="mechanism-cost-not-rdp"),
+    pytest.param(lambda: run_scenario(WorkloadConfig(), mode="oracle"), ConfigError, "mode",
+                 id="unknown-scenario-mode"),
+    pytest.param(lambda: WorkloadConfig(requests_per_round=0), ConfigError, "request rate",
+                 id="config-no-requests"),
+    pytest.param(lambda: WorkloadConfig(total_epsilon=0.0), ConfigError, "total budget", id="config-no-budget"),
+    pytest.param(lambda: WorkloadConfig(start_month=5, month_window=7), ConfigError, "start_month",
+                 id="config-start-inside-window"),
+    pytest.param(lambda: request_cost_curve("cauchy", 1.0, 1e-7), ConfigError, "family", id="unknown-cost-family"),
+    pytest.param(lambda: expand_block_range(0, 2, None), ValidationError, "domain size",
+                 id="block-range-without-domain"),
+])
+def test_each_refusal_raises_its_typed_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_request_round_trips_its_time_step():
+    request = ReleaseRequest("q", (Mechanism(LabelSet({"attr": ["a1"]}), {"user": RDP(_padded(0.1))}),),
+                             [3, 1], time_step=2, utility=0.5)
+    doc = request.to_dict()
+    assert doc["time_step"] == 2
+    again = ReleaseRequest.from_dict(doc)
+    assert again.to_dict() == doc and again.time_step == 2

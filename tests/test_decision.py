@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import re
@@ -15,7 +16,6 @@ from dpwarden.accounting import (
     rdp_epsilon,
     scale_budget,
     within_budget,
-    zero_curve,
 )
 from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import (
@@ -78,7 +78,6 @@ from _util import (  # noqa: E402
     random_rule_set,
     random_trace,
     team_request_doc,
-    unit_layout,
 )
 
 
@@ -318,10 +317,10 @@ def test_collapse_examples():
 def test_release_over_all_time_charges_steps_that_open_later():
     point = _monthly_point(budget_eps=1.0, window=2, horizon=2)
     assert point.process(_time_request("all", None, eps=0.8)).accepted
-    point.advance_time(3)
+    point.state.collapse_time(3)
     assert not point.process(_time_request("q3", 3, eps=0.8)).accepted
     # a long jump opens only the window; the steps it skips reach hist
-    point.advance_time(9)
+    point.state.collapse_time(9)
     assert set(point.state._cells["monthly"]) == {CELL_HIST, step_cell(8), step_cell(9), CELL_FUTURE}
     for month in (5, 9):
         assert not point.process(_time_request(f"q{month}", month, eps=0.8)).accepted
@@ -620,7 +619,7 @@ def test_reject_leaves_state_bit_identical_and_replayable():
         point = DecisionPoint(poset, domain=BlockDomain(("pa",), 4))
         accepted = []
         for req in random_trace(rng, units, domain_size=4, max_requests=40):
-            snapshot = point.state.copy()
+            snapshot = copy.deepcopy(point.state)
             if point.process(req).accepted:
                 accepted.append(req)
             else:
