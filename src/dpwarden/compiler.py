@@ -35,6 +35,7 @@ from .core import (
     budget_from_dict,
     conjunction_atoms,
     predicate_from_dict,
+    read_count,
     read_list,
     read_real,
 )
@@ -126,7 +127,10 @@ def budget_fn_from_dict(d: Mapping) -> BudgetFn:
         return Scale(read_real(d["factor"], "scale factor"))
     if kind == "map_table":
         knots = tuple((read_real(x, "map-table knot"), read_real(y, "map-table knot")) for x, y in d["knots"])
-        return MapTable(knots, bool(d.get("clamp", True)))
+        clamp = d.get("clamp", True)
+        if type(clamp) is not bool:  # bool("false") is True
+            raise ValidationError(f"map-table clamp must be true or false, got {clamp!r}")
+        return MapTable(knots, clamp)
     raise ValidationError(f"unknown budget function kind {kind!r}")
 
 
@@ -200,7 +204,7 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
     if kind == "custom":
         predicate = predicate_from_dict(d["predicate"])
         budget = budget_from_dict(d["budget"])
-        annotation = tuple(int(x) for x in d["annotation"]) if "annotation" in d else None
+        annotation = tuple(read_count(x, "annotation") for x in d["annotation"]) if "annotation" in d else None
         if isinstance(predicate, TruePredicate):
             key = OrderKey(BASE_TOP, (), (), unit)
         elif annotation is not None:
@@ -284,7 +288,7 @@ def _parse_extension_policy(d: Mapping, units: set[str]) -> ExtensionPolicy:
                 e["name"],
                 predicate_from_dict(e["predicate"]),
                 budget_fn_from_dict(e.get("budget_fn", {"kind": "identity"})),
-                int(e["rank"]),
+                read_count(e["rank"], "extension rank"),
                 scope,
             )
         )

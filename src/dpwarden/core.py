@@ -69,6 +69,8 @@ def read_real(value, name: str) -> float:
 def read_list(value, name: str):
     """A list field of a document.  ``frozenset()`` would also read a
     string as its characters and a mapping as its keys."""
+    if type(value) is list or type(value) is tuple:  # skips Mapping's ABC check, the common case
+        return value
     if isinstance(value, (str, Mapping)):
         raise ValidationError(f"{name} must be a list, got {value!r}")
     return value
@@ -546,7 +548,8 @@ class Provenance:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Provenance":
-        return cls(d["policy"], int(d["index"]), tuple((a, b) for a, b in d.get("extensions", ())))
+        index = read_count(d["index"], "provenance index")
+        return cls(d["policy"], index, tuple((a, b) for a, b in d.get("extensions", ())))
 
 
 @dataclass(frozen=True)

@@ -513,21 +513,28 @@ class FilterState:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict())``, encoding each class row of a cell
-        once: charged blocks share few classes."""
-        rules = []
+        once and writing each run of blocks in one class as one repeat of its
+        row's text: charged blocks share few classes, in long runs.  The text
+        is one list of pieces, joined once."""
+        pieces = [f'{{"now": {json.dumps(self.now)}, "domain": {json.dumps(self.domain.to_dict())}, "cells": {{']
+        rule_sep = ""
         for rid, per_rule in self._held().items():
-            cells = []
+            pieces.append(f"{rule_sep}{json.dumps(rid)}: {{")
+            rule_sep, cell_sep = ", ", ""
             for cell, (blocks, slots, rows) in per_rule.items():
                 # a row holds 14 numbers, so "], [" falls only between rows
                 bodies = json.dumps(rows.tolist())[2:-2].split("], [")
-                curves = "], [".join([bodies[i] for i in slots.tolist()])
-                blocks = json.dumps(blocks.tolist())
-                cells.append(f'{json.dumps(cell)}: {{"blocks": {blocks}, "curves": [[{curves}]]}}')
-            rules.append(f"{json.dumps(rid)}: {{{', '.join(cells)}}}")
-        return (
-            f'{{"now": {json.dumps(self.now)}, "domain": {json.dumps(self.domain.to_dict())}, '
-            f'"cells": {{{", ".join(rules)}}}}}'
-        )
+                pieces.append(f'{cell_sep}{json.dumps(cell)}: {{"blocks": {json.dumps(blocks.tolist())}, "curves": [[')
+                cell_sep = ", "
+                # the runs of one slot, the last block held back to close the array
+                last = len(slots) - 1
+                starts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()]
+                for start, end in zip(starts, [*starts[1:], last]):
+                    pieces.append((bodies[slots.item(start)] + "], [") * (end - start))
+                pieces.append(f"{bodies[slots.item(last)]}]]}}")
+            pieces.append("}")
+        pieces.append("}}")
+        return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "FilterState":
@@ -609,8 +616,67 @@ class _ClassRows(tuple):
     curves of a cell as ``from_json`` parses them."""
 
 
-# a "curves" array of number rows; quotes, escapes and words end a match
-_CURVES = re.compile(r'"curves": (\[[-+.0-9eE, \[\]]*\])')
+# the text that opens a cell's curves, and a distinct row's text between its brackets
+_CUT = '"curves": ['
+_BODY = re.compile(r"[-+.0-9eE, ]*")
+
+
+def _cut_curves(text: str, at: int) -> tuple[_ClassRows | None, int] | None:
+    """Read the "curves" array whose text opens just before ``text[at]``:
+    its distinct rows and the row of each block (``None`` for ``[]``), and
+    the index of its closing bracket.  ``None`` unless the array is ``[]`` or
+    ``"[[" + "], [".join(row bodies) + "]]"`` with bodies of numbers.
+
+    The array is walked one run of equal bodies at a time.  A body is the
+    text up to the next ``]``, so it holds no bracket, and each distinct one
+    is checked once.  Its repeats are confirmed by comparing the text with
+    the body and its separator, repeated twice as often at each step while
+    they hold, so no substring is made per block; a run that outlasts the
+    doubling goes on as a new run of the same row.
+    """
+    if text.startswith("]", at):
+        return None, at
+    if not text.startswith("[", at):
+        return None
+    at += 1
+    ids: dict[str, int] = {}
+    classes: list[int] = []
+    lengths: list[int] = []
+    startswith = text.startswith
+    while True:
+        end = text.find("]", at)
+        if end < 0:
+            return None
+        body = text[at:end]
+        k = ids.get(body)
+        if k is None:
+            if not _BODY.fullmatch(body):
+                return None
+            k = ids[body] = len(ids)
+        chunk = body + "], ["  # `step` repeats of the body and its separator
+        count, step = 0, 1
+        while startswith(chunk, at):
+            at += len(chunk)
+            count += step
+            chunk += chunk
+            step += step
+        classes.append(k)
+        if startswith(body + "]]", at):  # the run goes on to the array's end
+            lengths.append(count + 1)
+            break
+        if not count:  # a body followed by neither "], [" nor "]]"
+            return None
+        lengths.append(count)
+    try:
+        rows = json.loads(f"[[{'], ['.join(ids)}]]")
+        # one row per body: no body holds a bracket, so each is one row of the array
+        if len(rows) != len(ids):
+            return None
+        rows = np.array(rows, dtype=float)
+    except (ValueError, OverflowError):  # a body json.loads refuses, or an int past float
+        return None
+    of_block = np.repeat(np.array(classes, dtype=np.intp), lengths)
+    return _ClassRows((rows, of_block)), at + len(body) + 1
 
 
 def _canonical_state_doc(text: str) -> dict | None:
@@ -618,45 +684,39 @@ def _canonical_state_doc(text: str) -> dict | None:
     the row of each block (``_ClassRows``), when ``text`` is ``json.dumps``
     of a state document; ``None`` for any other text.
 
-    Each "curves" array is cut out of the text, and the rest, the skeleton,
-    parsed.  The result is taken only when re-encoding the skeleton gives it
-    back exactly, and there are as many cuts as cells, each with its curves
-    cut out.  As a cut leaves ``"curves": []`` and every such text is cut,
-    the cuts are then the cells' curves, in document order.  A cut's distinct
-    rows are parsed in one ``json.loads`` and taken when they read as one row
-    per row text; re-encoding them would cost as much as ``to_json``.
+    Each "curves" array is cut out of the text down to ``[]``, and the rest,
+    the skeleton, parsed.  The result is taken only when re-encoding the
+    skeleton gives it back exactly, and there are as many cuts as cells,
+    each with its curves cut out.  As every ``"curves": [`` of the text is
+    cut, the cuts are then the cells' curves, in document order.
     """
-    parts = _CURVES.split(text)
-    arrays = parts[1::2]
-    if not arrays:
-        return None
-    skeleton = '"curves": []'.join(parts[0::2])
+    pieces: list[str] = []
+    cuts: list[_ClassRows | None] = []
+    kept = 0  # the start of the skeleton's next piece
+    while (cut := text.find(_CUT, kept)) >= 0:
+        at = cut + len(_CUT)
+        pieces.append(text[kept:at])
+        read = _cut_curves(text, at)
+        if read is None:
+            return None
+        curves, kept = read
+        cuts.append(curves)
+    pieces.append(text[kept:])
+    skeleton = "".join(pieces)
     try:
         doc = json.loads(skeleton)
         payloads = [payload for per_rule in doc["cells"].values() for payload in per_rule.values()]
         if (
             json.dumps(doc) != skeleton
-            or len(payloads) != len(arrays)
+            or len(payloads) != len(cuts)
             or any(payload["curves"] != [] for payload in payloads)
         ):
             return None
-        for payload, array in zip(payloads, arrays):
-            if array == "[]":
-                continue
-            if not (array.startswith("[[") and array.endswith("]]")):
-                return None
-            # the array is "[[" + "], [".join(row bodies) + "]]"
-            bodies = array[2:-2].split("], [")
-            ids = {body: i for i, body in enumerate(dict.fromkeys(bodies))}
-            rows = json.loads(f"[[{'], ['.join(ids)}]]")
-            # one row per body: if the rows are flat, as from_dict requires,
-            # no body holds a bracket, so each body is one row of the array
-            if len(rows) != len(ids):
-                return None
-            of_block = np.array(list(map(ids.__getitem__, bodies)), dtype=np.intp)
-            payload["curves"] = _ClassRows((np.array(rows, dtype=float), of_block))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
+    except (KeyError, TypeError, ValueError, AttributeError):
         return None
+    for payload, curves in zip(payloads, cuts):
+        if curves is not None:
+            payload["curves"] = curves
     return doc
 
 

@@ -20,6 +20,7 @@ from dpwarden.core import (
     AttrIntersects,
     HasLabel,
     LabelSet,
+    Provenance,
     PureDP,
     RDP,
     TruePredicate,
@@ -582,3 +583,44 @@ def test_a_policy_document_refuses_a_mapping_where_names_belong(edit):
     edit(doc)
     with pytest.raises(ValidationError):
         parse_policy_set(doc)
+
+
+@pytest.mark.parametrize("clamp", ["false", 0, 1, None, [False]])
+def test_a_map_table_reads_clamp_only_as_a_json_bool(clamp):
+    """``bool("false")`` is True, so a quoted false would clamp."""
+    with pytest.raises(ValidationError):
+        budget_fn_from_dict({"kind": "map_table", "knots": [[1, 2], [2, 3]], "clamp": clamp})
+    assert not budget_fn_from_dict({"kind": "map_table", "knots": [[1, 2], [2, 3]], "clamp": False}).clamp
+
+
+def _parse_with_annotation(value):
+    doc = minimal_doc()
+    doc["base_policies"].append({
+        "type": "custom",
+        "name": "weird",
+        "unit": "user",
+        "predicate": {"op": "not", "part": {"op": "has_label", "key": "k", "value": "v"}},
+        "budget": adp(1.0),
+        "annotation": [value, 0],
+    })
+    parse_policy_set(doc)
+
+
+def _parse_with_rank(value):
+    doc = minimal_doc()
+    doc["extension_policies"] = [context_extension_policy()]
+    doc["extension_policies"][0]["extensions"][0]["rank"] = value
+    parse_policy_set(doc)
+
+
+def _read_provenance_index(value):
+    Provenance.from_dict({"policy": "p", "index": value})
+
+
+@pytest.mark.parametrize("value", [1.9, True, "2"])
+@pytest.mark.parametrize("read", [_parse_with_annotation, _parse_with_rank, _read_provenance_index])
+def test_an_order_field_reads_only_an_integer(read, value):
+    """``int()`` would read ``[1.9, true, "2"]`` as the order key ``(1, 1, 2)``."""
+    with pytest.raises(ValidationError):
+        read(value)
+    read(2)

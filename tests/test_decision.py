@@ -934,14 +934,53 @@ def test_state_codec_refuses_a_non_finite_curve_on_both_paths(value):
 
 
 def _one_cell_text(curves='[[1.5, 2.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]',
-                   domain_extra="", cell_extra="", blocks="[1]"):
+                   domain_extra="", cell_extra="", blocks="[1]", size=4):
     return (
-        f'{{"now": 0, "domain": {{"partitioning_attributes": ["pa"], "domain_size": 4{domain_extra}}}, '
+        f'{{"now": 0, "domain": {{"partitioning_attributes": ["pa"], "domain_size": {size}{domain_extra}}}, '
         f'"cells": {{"r": {{{cell_extra}"static": {{"blocks": {blocks}, "curves": {curves}}}}}}}}}'
     )
 
 
 _ANOTHER_ROW = '[[2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]'
+
+
+def _rows_text(*bodies, sep="], ["):
+    """A cell whose block ``i`` holds the row written ``bodies[i]``."""
+    return _one_cell_text(curves=f"[[{sep.join(bodies)}]]", blocks=json.dumps(list(range(len(bodies)))), size=16)
+
+
+# row bodies: one a prefix of the next, and one that differs from the first mid-body
+_BODY_A = ", ".join(["0.0"] * (N_ALPHA - 1) + ["1.5"])
+_BODY_B = _BODY_A + "e-05"
+_BODY_C = _BODY_A.replace("0.0", "0.5", 7)
+
+# texts the decoder's walk reads itself
+_WALKED = [
+    # a run broken mid-body, after more repeats than a doubling step covers
+    _rows_text(*[_BODY_A] * 5, _BODY_C, _BODY_C),
+    _rows_text(*[_BODY_A] * 7, _BODY_C),
+    # neighbouring bodies, one a prefix of the other, in both orders and runs
+    _rows_text(_BODY_A, _BODY_B, _BODY_A),
+    _rows_text(*[_BODY_B] * 3, *[_BODY_A] * 3, _BODY_B),
+    # the text that opens a cell's curves, inside an escaped rule id
+    _one_cell_text().replace('"r": ', json.dumps('x"curves": [[1.5') + ": "),
+    _one_cell_text().replace('"r": ', json.dumps('"curves": [[') + ": "),
+    # a cell that lists no blocks beside a cut cell, first and last
+    _one_cell_text().replace('"cells": {', '"cells": {"r0": {"static": {"blocks": [], "curves": []}}, '),
+    _one_cell_text().replace("}}}}", '}}, "r0": {"static": {"blocks": [], "curves": []}}}}'),
+]
+
+# texts it leaves to json.loads
+_LEFT_TO_JSON = [
+    # a body holding a lone "]": a number after a row closes
+    _one_cell_text(curves=f"[[{_BODY_A}], 0.0]"),
+    _one_cell_text(curves=f"[[{_BODY_A}], [{_BODY_A}], 0.0]", blocks="[0, 1, 2]"),
+    # a body followed by "]," without the space, inside a run and at its end
+    _rows_text(_BODY_A, _BODY_A, _BODY_A, sep="],["),
+    _rows_text(_BODY_A, _BODY_A, _BODY_A).replace(f"{_BODY_A}], [{_BODY_A}]]", f"{_BODY_A}],[{_BODY_A}]]"),
+    # a body holding a word, not only number characters
+    _rows_text(_BODY_A, _BODY_A.replace("0.0", "NaN", 1)),
+]
 
 
 @pytest.mark.parametrize("text", [
@@ -962,9 +1001,45 @@ _ANOTHER_ROW = '[[2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.
     _one_cell_text(curves="[[1.5, 2.5]]"),
     # three rows, the first two joined without a space: not one row per ", "
     _one_cell_text(curves=f"[{_ANOTHER_ROW[1:-1]},{_ANOTHER_ROW[1:-1]}, {_ANOTHER_ROW[1:-1]}]", blocks="[0, 1, 2]"),
+    *_WALKED,
+    *_LEFT_TO_JSON,
 ])
 def test_state_codec_reads_a_text_as_json_loads_does(text):
     _loads_alike(text)
+
+
+@pytest.mark.parametrize("text, walked", [(text, True) for text in _WALKED] + [(text, False) for text in _LEFT_TO_JSON])
+def test_state_codec_walks_only_the_text_to_json_writes(text, walked):
+    assert (decision._canonical_state_doc(text) is not None) == walked
+
+
+_RUN_DOMAIN = 64
+
+
+@st.composite
+def _codec_run_states(draw):
+    """States whose cells hold runs of consecutive blocks with one row each:
+    runs of one block, long runs, and a run that ends the array."""
+    state = FilterState(BlockDomain(("pa",), _RUN_DOMAIN))
+    pool = draw(st.lists(_codec_rows, min_size=2, max_size=3))
+    for rid in draw(st.lists(_codec_rule_ids, min_size=1, max_size=3, unique=True)):
+        lengths = draw(st.lists(st.one_of(st.just(1), st.integers(1, 20)), min_size=1, max_size=6))
+        start = draw(st.integers(0, _RUN_DOMAIN - min(sum(lengths), _RUN_DOMAIN)))
+        rows = [row for n in lengths for row in [draw(st.sampled_from(pool))] * n][: _RUN_DOMAIN - start]
+        state.ensure(rid, CELL_STATIC).put(np.arange(start, start + len(rows)), np.array(rows))
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=_codec_run_states())
+def test_state_codec_matches_json_on_runs_of_rows(state):
+    text = state.to_json()
+    assert text == json.dumps(state.to_dict())
+    if "]]" in text:  # some cell holds a nonzero row: the walk, not json.loads, reads it
+        assert decision._canonical_state_doc(text) is not None
+    for variant in (text, re.sub(r"(\d)e([-+]?\d)", r"\1E\2", text), _duplicate_first_cell(state.to_dict())):
+        _loads_alike(variant)
+    assert FilterState.from_json(text).to_json() == text
 
 
 def test_state_codec_of_an_empty_state():
