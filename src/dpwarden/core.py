@@ -1,8 +1,10 @@
 """Shared domain model: budgets, privacy units, labels, predicates, rules, requests.
 
-All types are immutable values with a canonical JSON form (``*_to_dict`` /
-``*_from_dict``), so every other module's file format is built from the same
-field names.
+All types are immutable values.  Each type a file holds is written by a
+``to_dict`` (``*_to_dict`` for budgets and predicates), so every module's
+file format is built from the same field names; only what a command reads
+back has a reader.  ``Rule.from_dict`` reads the four fields a decision
+enforces, not the order key and provenance a rules file also keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ DEFAULT_ALPHA_ORDERS: tuple[float, ...] = (
 )
 
 ATTR_KEY = "attr"
-CONTEXT_KEY = "context"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
@@ -511,20 +512,6 @@ class OrderKey:
             base = {"kind": self.base_kind}
         return {"base": base, "ext_ranks": list(self.ext_ranks), "unit": self.unit}
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "OrderKey":
-        base = d["base"]
-        kind = base["kind"]
-        if kind == BASE_ATTRS:
-            value: frozenset | tuple = frozenset(read_list(base["attrs"], "order-key attrs"))
-        elif kind == BASE_ATOMS:
-            value = frozenset(tuple(x) for x in read_list(base["atoms"], "order-key atoms"))
-        elif kind == BASE_RANKS:
-            value = tuple(base["ranks"])
-        else:
-            value = ()
-        return cls(kind, value, tuple(d.get("ext_ranks", ())), d["unit"])
-
 
 # ---------------------------------------------------------------------------
 # Rules
@@ -545,11 +532,6 @@ class Provenance:
             "index": self.index,
             "extensions": [list(x) for x in self.extensions],
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Provenance":
-        index = read_count(d["index"], "provenance index")
-        return cls(d["policy"], index, tuple((a, b) for a, b in d.get("extensions", ())))
 
 
 @dataclass(frozen=True)
@@ -584,14 +566,9 @@ class Rule:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Rule":
-        return cls(
-            d["id"],
-            predicate_from_dict(d["predicate"]),
-            d["unit"],
-            budget_from_dict(d["budget"]),
-            Provenance.from_dict(d["provenance"]) if "provenance" in d else None,
-            OrderKey.from_dict(d["order_key"]) if "order_key" in d else None,
-        )
+        """The four fields a decision enforces.  The provenance and order key
+        that ``to_dict`` writes serve compiling and ``--dot``, not checks."""
+        return cls(d["id"], predicate_from_dict(d["predicate"]), d["unit"], budget_from_dict(d["budget"]))
 
 
 def check_unique_ids(rules: Iterable[Rule]) -> None:
@@ -657,6 +634,9 @@ class ReleaseRequest:
     utility: float = 0.0
 
     def __post_init__(self):
+        # exact str, as names are read: an int or a list is no id
+        if type(self.request_id) is not str:
+            raise ValidationError(f"request id must be a string, got {self.request_id!r}")
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         try:
             sel = np.asarray(self.pa_selection)

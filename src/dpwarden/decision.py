@@ -50,6 +50,7 @@ from .core import (
     ReleaseRequest,
     Rule,
     TruePredicate,
+    _check_name,
     check_unique_ids,
     eval_predicate,
     read_count,
@@ -140,7 +141,7 @@ class BlockDomain:
             tuple(d.get("partitioning_attributes", ())),
             read_count(d.get("domain_size", 1), "domain_size"),
             TimeAxis(
-                ta["unit"],
+                _check_name(ta["unit"], "time-axis unit"),
                 read_count(ta["granular_window"], "granular_window"),
                 read_count(ta.get("horizon", 0), "horizon"),
             ) if ta else None,
@@ -577,6 +578,9 @@ class FilterState:
                     if isinstance(curves, _ClassRows):
                         curves, of_block = curves
                     else:
+                        # numpy would read "1.5" as 1.5 and true as 1.0
+                        if any(type(v) not in (int, float) for row in curves for v in row):
+                            raise ValidationError(f"state cell {rid}/{cell}: curve values must be JSON numbers")
                         curves = np.asarray(curves, dtype=float)
                         if curves.shape == (0,):
                             curves = curves.reshape(0, N_ALPHA)  # `"curves": []` lists no rows

@@ -253,6 +253,22 @@ def test_check_rejects_malformed_state_without_writing(tmp_path, capsys):
     assert state.read_bytes() == before
 
 
+@pytest.mark.parametrize("value", ["1.5", True])
+def test_check_refuses_a_curve_value_that_is_not_a_number(tmp_path, capsys, value):
+    """numpy would read "1.5" as 1.5 and true as 1.0."""
+    argv, _, state = _check_argv(tmp_path)
+    assert main(argv) == 0
+    doc = json.loads(state.read_text())
+    cell = next(iter(next(iter(doc["cells"].values())).values()))
+    cell["curves"][0][0] = value
+    state.write_text(json.dumps(doc))
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "JSON numbers" in capsys.readouterr().err
+    assert state.read_bytes() == before
+
+
 def test_check_refuses_a_domain_too_large_to_index(tmp_path, capsys):
     argv, _, state = _check_argv(tmp_path)
     state.write_text(json.dumps({"now": 0, "domain": {"domain_size": 10**15}, "cells": {}}))

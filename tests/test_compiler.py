@@ -20,7 +20,6 @@ from dpwarden.core import (
     AttrIntersects,
     HasLabel,
     LabelSet,
-    Provenance,
     PureDP,
     RDP,
     TruePredicate,
@@ -613,12 +612,8 @@ def _parse_with_rank(value):
     parse_policy_set(doc)
 
 
-def _read_provenance_index(value):
-    Provenance.from_dict({"policy": "p", "index": value})
-
-
 @pytest.mark.parametrize("value", [1.9, True, "2"])
-@pytest.mark.parametrize("read", [_parse_with_annotation, _parse_with_rank, _read_provenance_index])
+@pytest.mark.parametrize("read", [_parse_with_annotation, _parse_with_rank])
 def test_an_order_field_reads_only_an_integer(read, value):
     """``int()`` would read ``[1.9, true, "2"]`` as the order key ``(1, 1, 2)``."""
     with pytest.raises(ValidationError):

@@ -745,6 +745,8 @@ def test_state_load_reads_an_empty_cell_as_no_charge(charged):
             doc.update(now=6),
             doc["cells"]["r"].update(t9=doc["cells"]["r"]["static"]),
         ),
+        lambda doc: doc["domain"].update(time_axis={"unit": 5, "granular_window": 3, "horizon": 0}),
+        lambda doc: doc["domain"].update(time_axis={"unit": ["m"], "granular_window": 3, "horizon": 0}),
         lambda doc: doc.update(now=-1),
         lambda doc: (  # behind the horizon a fresh state starts at
             doc["domain"].update(time_axis={"unit": "m", "granular_window": 3, "horizon": 6}),
@@ -931,6 +933,17 @@ def test_state_codec_refuses_a_non_finite_curve_on_both_paths(value):
         FilterState.from_dict(json.loads(bad))
     with pytest.raises(ValidationError):
         FilterState.from_json(bad)
+
+
+@pytest.mark.parametrize("value", ["1.5", True, False])
+def test_state_load_refuses_a_curve_value_that_is_not_a_number(value):
+    """numpy would read "1.5" as 1.5 and true as 1.0."""
+    doc = _state_doc([0, 2], [_ROW, [value] + _ROW[1:]])
+    with pytest.raises(ValidationError, match="JSON numbers"):
+        FilterState.from_dict(doc)
+    for text in (json.dumps(doc), json.dumps(doc, indent=2)):
+        with pytest.raises(ValidationError, match="JSON numbers"):
+            FilterState.from_json(text)
 
 
 def _one_cell_text(curves='[[1.5, 2.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]',

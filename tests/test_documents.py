@@ -5,6 +5,12 @@ Each property takes a valid document, deletes a key or replaces a value with
 loader to return or raise a ``DPWardenError``, never a builtin exception.
 Through ``cli.main`` the same mutations exit 0, 1 or 2 without a traceback,
 and leave the state file byte-identical unless the request was accepted.
+
+The type-swap properties cover the three documents ``check`` reads (rules
+file, state file, request): a scalar leaf given another JSON type is
+refused, with exit 2 and the state untouched through ``cli.main``, unless
+``check`` never reads it (a rule's order key and provenance, the pruned
+records), in which case nothing it decides or writes changes.
 """
 
 import copy
@@ -214,3 +220,141 @@ def test_check_with_mutated_document_fails_closed(files, capsys, data, which):
         assert paths["state"].read_bytes() == state
     if code == 2:
         assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Type swaps: one scalar leaf of a document `check` reads, given another JSON type
+# ---------------------------------------------------------------------------
+
+# kept in a rules file for people reading it; ``check`` never reads them
+_UNREAD = frozenset({"order_key", "provenance", "pruned"})
+
+
+def _leaves(node, path=()):
+    """(path, value) of every scalar leaf of a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def _swaps(value):
+    """A number as its string or ``true``, an integer also as a non-integer;
+    a string as a one-element list or an int."""
+    if isinstance(value, str):
+        return [[value], 5]
+    if isinstance(value, bool) or value is None:
+        return []
+    return [str(value), True] + ([value + 0.5] if isinstance(value, int) else [])
+
+
+def _swapped(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _swaps_of(doc):
+    return [(path, value) for path, leaf in _leaves(doc) for value in _swaps(leaf)]
+
+
+def _checked_documents(files):
+    """The three documents ``check`` reads, each with the reader it goes through."""
+    paths, _, state = files
+    target = paths["rules"].with_name("swapped-rules.json")
+
+    def read_rules(doc):
+        target.write_text(json.dumps(doc))
+        return _load_rules(str(target))
+
+    return {
+        "rules": (json.loads(paths["rules"].read_text()), read_rules),
+        "state": (json.loads(state), lambda doc: FilterState.from_json(json.dumps(doc)).to_dict()),
+        "request": (request_doc(), lambda doc: ReleaseRequest.from_dict(doc, domain_size=4).to_dict()),
+    }
+
+
+@pytest.mark.parametrize("kind", ["rules", "state", "request"])
+def test_every_leaf_of_another_json_type_is_refused(files, kind):
+    """Each read leaf swapped raises a ``DPWardenError``; an unread one
+    leaves what is read unchanged."""
+    doc, read = _checked_documents(files)[kind]
+    expected = read(doc)
+    accepted = []
+    for path, value in _swaps_of(doc):
+        swapped = _swapped(doc, path, value)
+        if not _UNREAD.isdisjoint(path):
+            assert read(swapped) == expected, path
+            continue
+        try:
+            read(swapped)
+        except DPWardenError:
+            continue
+        accepted.append((path, value))
+    assert accepted == []
+
+
+def _run_check(capsys, files, docs):
+    """``check`` on the given rules, state and request documents: its exit
+    code, stdout and stderr, and the state bytes before and after."""
+    paths, check, _ = files
+    command = list(check)
+    for name in ("rules", "request"):
+        target = paths[name].with_name(f"swapped-{name}.json")
+        target.write_text(json.dumps(docs[name]))
+        command[command.index(str(paths[name]))] = str(target)
+    paths["state"].write_text(json.dumps(docs["state"]))
+    before = paths["state"].read_bytes()
+    capsys.readouterr()
+    code = main(command)
+    out, err = capsys.readouterr()
+    return code, out, err, before, paths["state"].read_bytes()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), which=st.sampled_from(["rules", "state", "request"]))
+def test_check_with_a_type_swapped_leaf(files, capsys, data, which):
+    """Exit 2 with the state file byte-identical; a swap ``check`` never
+    reads changes neither the verdict nor the state."""
+    docs = {name: doc for name, (doc, _) in _checked_documents(files).items()}
+    path, value = data.draw(st.sampled_from(_swaps_of(docs[which])))
+    code, out, err, before, after = _run_check(capsys, files, {**docs, which: _swapped(docs[which], path, value)})
+    if _UNREAD.isdisjoint(path):
+        assert code == 2 and err.startswith("error:"), (path, value, out)
+        assert after == before
+    else:
+        expected_code, expected_out, _, _, expected_after = _run_check(capsys, files, docs)
+        assert (code, out, after) == (expected_code, expected_out, expected_after)
+
+
+def test_check_reads_no_order_key_provenance_or_pruned_record(files, tmp_path, capsys):
+    """A rules file without them decides a request stream, and writes the
+    state, byte for byte as the file ``compile`` wrote."""
+    paths, check, _ = files
+    bare = json.loads(paths["rules"].read_text())
+    del bare["pruned"]
+    for rule in bare["rules"] + bare["per_release_rules"]:
+        rule.pop("order_key", None)
+        rule.pop("provenance", None)
+    (tmp_path / "bare-rules.json").write_text(json.dumps(bare))
+    stream = [request_doc(time_step=1), request_doc(eps=0.5, time_step=None), request_doc(eps=1.5),
+              request_doc(eps=0.8, selection=[0, 2]), request_doc(eps=0.8, time_step=2)]
+    runs = []
+    for rules in (paths["rules"], tmp_path / "bare-rules.json"):
+        state, request = tmp_path / f"state-{rules.stem}.json", tmp_path / "request.json"
+        command = list(check)
+        for old, new in ((paths["rules"], rules), (paths["state"], state), (paths["request"], request)):
+            command[command.index(str(old))] = str(new)
+        run = []
+        for doc in stream:
+            request.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = main(command)
+            run.append((code, capsys.readouterr().out, state.read_bytes()))
+        runs.append(run)
+    assert [code for code, _, _ in runs[0]] == [0, 0, 1, 0, 1]  # both stages reject once
+    assert runs[0] == runs[1]
