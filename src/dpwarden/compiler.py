@@ -185,6 +185,12 @@ def _attr_rule(rule_id: str, attrs: frozenset[str], unit: str, budget: PrivacyBu
                 OrderKey(BASE_ATTRS, attrs, (), unit))
 
 
+def _read_name(value, what: str) -> str:
+    if type(value) is not str:  # exact, as a rule id: the name is formatted into rule ids
+        raise ValidationError(f"{what} name must be a string, got {value!r}")
+    return value
+
+
 def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], categories: set[str]) -> list[Rule]:
     """The intermediate rules, with order keys, that one base policy generates.
 
@@ -197,7 +203,7 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
     plus strongly connected attributes, and all connected attributes.
     """
     kind = d["type"]
-    name = d["name"]
+    name = _read_name(d["name"], "policy")
     unit = d["unit"]
     if unit not in units:
         raise ValidationError(f"policy {name!r} references unknown unit {unit!r}")
@@ -274,7 +280,7 @@ def _parse_base_policy(d: Mapping, units: set[str], attributes: set[str], catego
 
 
 def _parse_extension_policy(d: Mapping, units: set[str]) -> ExtensionPolicy:
-    name = d["name"]
+    name = _read_name(d["name"], "extension policy")
     exts = []
     for e in d["extensions"]:
         scope = e.get("unit_scope")
@@ -285,7 +291,7 @@ def _parse_extension_policy(d: Mapping, units: set[str]) -> ExtensionPolicy:
                 raise ValidationError(f"extension policy {name!r}: unknown units in scope {sorted(unknown)}")
         exts.append(
             Extension(
-                e["name"],
+                _read_name(e["name"], "extension"),
                 predicate_from_dict(e["predicate"]),
                 budget_fn_from_dict(e.get("budget_fn", {"kind": "identity"})),
                 read_count(e["rank"], "extension rank"),

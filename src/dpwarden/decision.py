@@ -21,10 +21,11 @@ filter state untouched.  Accepting decisions are shared, immutable values.
 Each (rule, time cell) filter keeps its RDP rows in a ``BlockRows`` store,
 one row per class of blocks charged alike: releases charge whole block
 ranges, so a check composes and tests one row per class its selection
-meets, not one per block.  ``FilterState.to_json``/``from_json`` are the
-state file's text form, the one the CLI reads and writes; they encode and
-parse each class row once, and check a cell's name against the time window
-by its step, without listing the window.
+meets, not one per block; a loaded or folded store is built whole.
+``FilterState.to_json``/``from_json`` are the state file's text form, the
+one the CLI reads and writes; they encode and parse each class row once,
+and check a cell's name against the time window by its step, without
+listing the window.
 """
 
 from __future__ import annotations
@@ -169,17 +170,18 @@ class BlockRows:
     ``index`` maps every block of the domain to the slot of its class in
     ``rows``, and ``size`` counts the blocks of each class.  The index is
     int16, 2 bytes a block, until a class takes a slot past 32,767; then
-    ``_reserve`` widens it to int32 once, for good.  An array of slots read
-    from it keeps its width, and numpy wraps a wider value written into it,
-    so such an array is widened to intp before new slots are written among
-    them.  Slot 0 is a permanent zero row, the class of every uncharged
-    block, so ``rows[index[blocks]]`` reads what a dense
-    ``(domain_size, N_ALPHA)`` array would.  A charge composes one row per
-    class its selection meets: a class it covers wholly keeps its slot, and
-    the part it covers of any other class splits off into a new one.  So no
-    class is ever empty, and a store holds at most one row per charged block
-    plus the zero row.  Capacity doubles as classes are made, never past
-    that bound, and the rows past ``held`` stay zero.
+    ``_reserve`` widens it to int32.  An array of slots read from it keeps
+    its width, and numpy wraps a wider value written into it, so such an
+    array is widened to intp before new slots are written among them.
+    Slot 0 is a permanent zero row, the class of every uncharged block, so
+    ``rows[index[blocks]]`` reads what a dense ``(domain_size, N_ALPHA)``
+    array would.  A loaded store and a fold (``maximum``) are built whole,
+    by ``from_rows``.  A charge composes one row per class its selection
+    meets: a class it covers wholly keeps its slot, and the part it covers
+    of any other class splits off into a new one.  So no class is ever
+    empty, and a store holds at most one row per charged block plus the
+    zero row.  Capacity doubles as classes are made, never past that bound,
+    and the rows past ``held`` stay zero.
     """
 
     __slots__ = ("index", "rows", "size", "held")
@@ -196,6 +198,25 @@ class BlockRows:
         self.size = np.zeros(len(self.rows), dtype=np.intp)
         self.size[0] = domain_size
         self.held = 1
+
+    @classmethod
+    def from_rows(cls, domain_size: int, blocks: np.ndarray, rows: np.ndarray,
+                  of_block: np.ndarray | None = None) -> "BlockRows":
+        """A store in which block ``blocks[i]`` holds row ``of_block[i]``,
+        every row being some block's, and other blocks the zero row; without
+        ``of_block``, row ``i``, blocks with rows of equal bytes in one class."""
+        if of_block is None:
+            # keyed by raw bytes, so -0.0 and 0.0 stay apart
+            keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * N_ALPHA))).ravel()
+            _, first, of_block = np.unique(keys, return_index=True, return_inverse=True)
+            rows = rows[first]
+        store = cls(domain_size)
+        store._reserve(len(rows))
+        store.rows[1 : store.held] = rows
+        store.size[1 : store.held] = np.bincount(of_block, minlength=len(rows))
+        store.size[0] -= len(blocks)
+        store.index[blocks] = of_block + 1
+        return store
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -267,20 +288,10 @@ class BlockRows:
         slots = ordered[at]
         return (slots, np.add.reduceat(lengths[order], at), (run_slots, lengths)), self.rows.take(slots, axis=0)
 
-    def put(self, blocks: np.ndarray | slice, rows: np.ndarray, classes: tuple | None = None) -> None:
-        """Set the rows of the distinct ``blocks``: with ``classes`` from
-        ``gather``, ``rows`` holds one row per class; without, one per block,
-        and blocks given rows with equal bytes make one class.
-
-        A class the blocks cover wholly keeps its slot; the covered part of
-        any other moves to a new class.
-        """
-        if classes is None:
-            # keyed by raw bytes, so -0.0 and 0.0 stay apart
-            keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * N_ALPHA))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            self._regroup(blocks, inverse, rows[first])
-            return
+    def put(self, blocks: np.ndarray | slice, rows: np.ndarray, classes: tuple) -> None:
+        """Set the rows of the distinct ``blocks``, one per class of the
+        ``classes`` that ``gather`` gave: a class the blocks cover wholly
+        keeps its slot; the covered part of any other moves to a new class."""
         slots, counts, runs = classes
         if runs is None:  # one class, or none
             if not slots:
@@ -365,44 +376,21 @@ class BlockRows:
         self.held = end
         return start
 
-    def _regroup(self, blocks: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
-        """Move the distinct ``blocks`` into one new class per row of
-        ``rows``: block ``blocks[i]`` gets row ``keys[i]``, and every row is
-        some block's.  The slots of classes left empty are reused, and any
-        left over are dropped by renumbering the classes."""
-        held = self.held
-        size = self.size
-        size[:held] -= np.bincount(self.index[blocks], minlength=held)
-        empty = np.flatnonzero(size[1:held] == 0) + 1
-        reused = empty[: len(rows)]
-        slots = np.concatenate((reused, np.arange(self._reserve(len(rows) - len(reused)), self.held)))
-        self.rows[slots] = rows
-        self.size[slots] = np.bincount(keys, minlength=len(rows))
-        self.index[blocks] = slots[keys]
-        if len(empty) > len(reused):
-            live = np.ones(self.held, dtype=bool)
-            live[empty[len(reused):]] = False
-            self.index = (np.cumsum(live, dtype=self.index.dtype) - 1)[self.index]
-            kept = np.count_nonzero(live)
-            self.rows[:kept] = self.rows[: self.held][live]
-            self.rows[kept : self.held] = 0.0
-            self.size[:kept] = self.size[: self.held][live]
-            self.size[kept : self.held] = 0
-            self.held = kept
-
     def maximum(self, other: "BlockRows") -> None:
         """Pointwise maximum with ``other``, over the union of charged blocks;
         a block that ``other`` never charged keeps its row, as rows are
-        non-negative.  Blocks alike in both stores stay alike."""
-        blocks = np.flatnonzero(other.index)
-        if not blocks.size:
-            return
+        non-negative.  The store is rebuilt with a class per pair of classes
+        that blocks fall in, so blocks alike in both stores stay alike."""
+        blocks = np.flatnonzero((self.index != 0) | (other.index != 0))
         # in intp: the pair key of two slots overflows the index's width
         pairs, keys = np.unique(
             self.index[blocks].astype(np.intp) * other.held + other.index[blocks], return_inverse=True
         )
         mine, theirs = np.divmod(pairs, other.held)
-        self._regroup(blocks, keys, np.maximum(self.rows[mine], other.rows[theirs]))
+        rows = self.rows[mine]
+        np.maximum(rows, other.rows[theirs], out=rows, where=(theirs != 0)[:, None])
+        folded = BlockRows.from_rows(len(self.index), blocks, rows, keys)
+        self.index, self.rows, self.size, self.held = folded.index, folded.rows, folded.size, folded.held
 
     def copy(self) -> "BlockRows":
         dup = BlockRows.__new__(BlockRows)
@@ -574,7 +562,7 @@ class FilterState:
                     ):
                         raise ValidationError(f"state cell {rid}/{cell}: not a cell of this state")
                     blocks = np.asarray(payload["blocks"])
-                    curves = payload["curves"]
+                    curves, of_block = payload["curves"], None
                     if isinstance(curves, _ClassRows):
                         curves, of_block = curves
                     else:
@@ -584,7 +572,6 @@ class FilterState:
                         curves = np.asarray(curves, dtype=float)
                         if curves.shape == (0,):
                             curves = curves.reshape(0, N_ALPHA)  # `"curves": []` lists no rows
-                        of_block = None
                     if (
                         blocks.ndim != 1
                         # numpy reads a bool among ints as 0 or 1
@@ -606,12 +593,8 @@ class FilterState:
                             f"state cell {rid}/{cell}: curves must be one row of {N_ALPHA} "
                             f"finite, non-negative values per block"
                         )
-                    if not blocks.size:  # a cell that holds no charge gets no store
-                        continue
-                    if of_block is None:
-                        state.ensure(rid, cell).put(blocks, curves)
-                    else:
-                        state.ensure(rid, cell)._regroup(blocks, of_block, curves)
+                    if blocks.size:  # a cell that holds no charge gets no store
+                        state._cells.setdefault(rid, {})[cell] = BlockRows.from_rows(n, blocks, curves, of_block)
         return state
 
 

@@ -35,7 +35,7 @@ from dpwarden.core import (
     UnitGraph,
     eval_predicate,
 )
-from dpwarden.decision import CELL_FUTURE, CELL_HIST, CELL_STATIC, step_cell
+from dpwarden.decision import CELL_FUTURE, CELL_HIST, CELL_STATIC, BlockRows, step_cell
 
 ATTR_UNIVERSE = tuple(f"x{i}" for i in range(6))
 BUDGET_GRID = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -272,9 +272,13 @@ def dense(store) -> np.ndarray:
     return store.rows[store.index]
 
 
-def fill(store, arr: np.ndarray) -> None:
-    """Charge every block of a ``BlockRows`` store with its row of ``arr``."""
-    store.put(np.arange(len(arr)), arr)
+def place(state, rule_id: str, cell: str, rows, blocks=None) -> None:
+    """Give a ``FilterState`` a (rule, cell) store built whole, in which
+    block ``blocks[i]`` holds ``rows[i]``; without ``blocks``, every block of
+    the domain its row."""
+    rows = np.asarray(rows, dtype=float)
+    blocks = np.arange(len(rows)) if blocks is None else np.asarray(blocks)
+    state._cells.setdefault(rule_id, {})[cell] = BlockRows.from_rows(state.domain.domain_size, blocks, rows)
 
 
 def dense_cells(state) -> dict[tuple[str, str], np.ndarray]:

@@ -17,6 +17,7 @@ from dpwarden.accounting import (
     scale_budget,
     within_budget,
 )
+from dpwarden.cli import main
 from dpwarden.compiler import compile_policy_set, parse_policy_set
 from dpwarden.core import (
     ADP,
@@ -73,8 +74,8 @@ from _util import (  # noqa: E402
     assert_same_state,
     dense,
     dense_cells,
-    fill,
     naive_cells,
+    place,
     random_rule_set,
     random_trace,
     team_request_doc,
@@ -284,13 +285,13 @@ def test_collapse_examples():
     c2 = np.array([gaussian_curve(0.02).curve] * 2)
 
     # advancing by one with an empty oldest step leaves the interval alone
-    fill(state.ensure("r", step_cell(9)), c1)
+    place(state, "r", step_cell(9), c1)
     state.collapse_time(10)
     assert state.array("r", CELL_HIST) is None
 
     # absorbing a step into an empty interval copies the curve
     state2 = FilterState(domain)
-    fill(state2.ensure("r", step_cell(3)), c1)
+    place(state2, "r", step_cell(3), c1)
     state2.collapse_time(10)
     assert dense(state2.array("r", CELL_HIST)).tobytes() == c1.tobytes()
 
@@ -298,8 +299,8 @@ def test_collapse_examples():
     state3 = FilterState(domain)
     first = c1.copy()
     first[0, 0] = 99.0
-    fill(state3.ensure("r", step_cell(3)), first)
-    fill(state3.ensure("r", step_cell(4)), c2)
+    place(state3, "r", step_cell(3), first)
+    place(state3, "r", step_cell(4), c2)
     state3.collapse_time(11)
     merged = dense(state3.array("r", CELL_HIST))
     assert merged[0, 0] == 99.0
@@ -308,8 +309,8 @@ def test_collapse_examples():
 
     # a step charged on one block only leaves the other block's row alone
     state4 = FilterState(domain)
-    fill(state4.ensure("r", CELL_HIST), c1)
-    state4.ensure("r", step_cell(3)).put(np.array([1]), c2[1:])
+    place(state4, "r", CELL_HIST, c1)
+    place(state4, "r", step_cell(3), c2[1:], [1])
     state4.collapse_time(10)
     assert dense(state4.array("r", CELL_HIST)).tobytes() == np.array([c1[0], c2[1]]).tobytes()
 
@@ -332,7 +333,7 @@ def test_collapse_monotone_never_forgets():
     steps = {}
     for step in range(7):
         steps[step] = rng.uniform(0, 1, size=(4, N_ALPHA))
-        fill(state.ensure("r", step_cell(step)), steps[step])
+        place(state, "r", step_cell(step), steps[step])
     before = state.array("r", CELL_HIST)
     before = np.zeros((4, N_ALPHA)) if before is None else dense(before)
     state.collapse_time(9)
@@ -868,7 +869,7 @@ def _codec_states(draw):
             blocks = draw(st.lists(st.integers(0, _CODEC_DOMAIN - 1), max_size=_CODEC_DOMAIN, unique=True))
             rows = [draw(st.one_of(st.sampled_from(pool), _codec_rows)) for _ in blocks]
             if blocks:
-                state.ensure(rid, cell).put(np.array(blocks), np.array(rows))
+                place(state, rid, cell, rows, blocks)
     return state
 
 
@@ -924,7 +925,7 @@ def test_state_codec_matches_json(state):
 @pytest.mark.parametrize("value", ["NaN", "1e400", "Infinity"])
 def test_state_codec_refuses_a_non_finite_curve_on_both_paths(value):
     state = FilterState(BlockDomain(("pa",), 4))
-    state.ensure("r", CELL_STATIC).put(np.array([0, 2]), np.array([_ROW, _ROW]))
+    place(state, "r", CELL_STATIC, [_ROW, _ROW], [0, 2])
     text = state.to_json()
     first = json.dumps(_ROW[0])
     assert text.count(first) >= 2
@@ -1039,7 +1040,7 @@ def _codec_run_states(draw):
         lengths = draw(st.lists(st.one_of(st.just(1), st.integers(1, 20)), min_size=1, max_size=6))
         start = draw(st.integers(0, _RUN_DOMAIN - min(sum(lengths), _RUN_DOMAIN)))
         rows = [row for n in lengths for row in [draw(st.sampled_from(pool))] * n][: _RUN_DOMAIN - start]
-        state.ensure(rid, CELL_STATIC).put(np.arange(start, start + len(rows)), np.array(rows))
+        place(state, rid, CELL_STATIC, rows, np.arange(start, start + len(rows)))
     return state
 
 
@@ -1083,7 +1084,7 @@ _ROW_POOL = np.array([np.zeros(N_ALPHA), np.arange(N_ALPHA) / 7.0, np.full(N_ALP
 _store_ops = st.one_of(
     st.tuples(st.just("compose"), st.integers(0, 2), _selections, _costs),
     st.tuples(st.just("add"), st.integers(0, 2), _selections, _costs),
-    st.tuples(st.just("put"), st.integers(0, 2), _selections,
+    st.tuples(st.just("build"), st.integers(0, 2), _selections,
               st.lists(st.integers(0, len(_ROW_POOL) - 1), min_size=_STORE_DOMAIN, max_size=_STORE_DOMAIN)),
     st.tuples(st.just("maximum"), st.integers(0, 2), st.integers(0, 2)),
     st.tuples(st.just("copy"), st.integers(0, 2), st.integers(0, 2)),
@@ -1125,8 +1126,8 @@ def _assert_classes(store) -> None:
 @given(ops=st.lists(_store_ops, max_size=30))
 def test_block_rows_match_a_dense_oracle(ops):
     """Charges as the check composes them (gather, add, put back) and as a
-    scope adds them, rows put block by block, merges and copies,
-    interleaved."""
+    scope adds them, stores rebuilt whole from rows given block by block,
+    merges and copies, interleaved."""
     stores = [BlockRows(_STORE_DOMAIN) for _ in range(3)]
     oracle = [np.zeros((_STORE_DOMAIN, N_ALPHA)) for _ in range(3)]
     for op in ops:
@@ -1140,10 +1141,11 @@ def test_block_rows_match_a_dense_oracle(ops):
             sel, cost = _selection(op[2]), op[3]
             stores[i].add(sel, cost)
             oracle[i][sel] += cost
-        elif kind == "put":
+        elif kind == "build":
             sel = _selection(op[2])
             rows = _ROW_POOL[op[3][: len(sel)]]
-            stores[i].put(sel, rows)
+            stores[i] = BlockRows.from_rows(_STORE_DOMAIN, sel, rows)
+            oracle[i] = np.zeros((_STORE_DOMAIN, N_ALPHA))
             oracle[i][sel] = rows
             # blocks given rows with equal bytes share one class
             assert len(set(stores[i].index[sel].tolist())) == len(set(op[3][: len(sel)]))
@@ -1215,9 +1217,8 @@ def test_block_rows_maximum_of_many_classes_matches_a_dense_oracle():
     domain = 70_000
     rng = np.random.default_rng(5)
     arrays = [rng.random((domain, N_ALPHA)) for _ in range(2)]
-    stores = [BlockRows(domain) for _ in arrays]
-    for store, arr in zip(stores, arrays):
-        fill(store, arr)
+    stores = [BlockRows.from_rows(domain, np.arange(domain), arr) for arr in arrays]
+    for store in stores:
         assert store.held == domain + 1
     stores[0].maximum(stores[1])
     assert dense(stores[0]).tobytes() == np.maximum(*arrays).tobytes()
@@ -1235,11 +1236,10 @@ def _near_the_int16_limit():
     Blocks past the classes stay uncharged."""
     pairs = _SLOTS16 - 2
     domain = 2 * pairs + 64
-    store, oracle = BlockRows(domain), np.zeros((domain, N_ALPHA))
+    oracle = np.zeros((domain, N_ALPHA))
     blocks = np.arange(2 * pairs)
-    rows = np.repeat(np.arange(1.0, pairs + 1), 2)[:, None] * np.linspace(0.5, 1.0, N_ALPHA)
-    store.put(blocks, rows)
-    oracle[blocks] = rows
+    oracle[blocks] = np.repeat(np.arange(1.0, pairs + 1), 2)[:, None] * np.linspace(0.5, 1.0, N_ALPHA)
+    store = BlockRows.from_rows(domain, blocks, oracle[blocks])
     assert store.held == _SLOTS16 - 1
     return store, oracle
 
@@ -1273,22 +1273,16 @@ def test_block_rows_index_widens_once_a_slot_passes_int16(grouping, selections):
     assert store.held > _SLOTS16
 
 
-def test_block_rows_index_widens_when_rows_are_put_block_by_block():
-    """``put`` without classes (``_regroup``) makes twenty classes past the
-    limit; then emptying five classes renumbers 32,783 live ones, past the
-    int16 range."""
-    store, oracle = _near_the_int16_limit()
+def test_block_rows_index_widens_when_a_store_is_built_block_by_block():
+    """A store built from one row per block with twenty classes past the
+    limit has an int32 index."""
+    _, oracle = _near_the_int16_limit()
     fresh = np.arange(len(oracle) - 20, len(oracle))
-    rows = np.arange(20.0)[:, None] + np.full(N_ALPHA, 0.25)
-    store.put(fresh, rows)
-    oracle[fresh] = rows
+    oracle[fresh] = np.arange(20.0)[:, None] + np.full(N_ALPHA, 0.25)
+    blocks = np.flatnonzero(oracle.any(axis=1))
+    store = BlockRows.from_rows(len(oracle), blocks, oracle[blocks])
     _assert_index(store, oracle, widened=True)
-    held = store.held
-    whole = np.arange(10)  # classes 1 to 5, both blocks of each
-    store.put(whole, np.ones((10, N_ALPHA)))
-    oracle[whole] = 1.0
-    _assert_index(store, oracle, widened=True)
-    assert store.held == held - 4 > _SLOTS16
+    assert store.held == _SLOTS16 + 19
 
 
 def test_block_rows_index_widens_in_maximum_and_copy():
@@ -1297,11 +1291,10 @@ def test_block_rows_index_widens_in_maximum_and_copy():
     store, oracle = _near_the_int16_limit()
     dup = store.copy()
     _assert_index(dup, oracle, widened=False)
-    other = BlockRows(len(oracle))
     other_rows = np.zeros((len(oracle), N_ALPHA))
     other_rows[:40] = np.arange(1.0, 41.0)[:, None] * 1000.0
     other_rows[:40:2] = 0.0  # even blocks keep their row, odd ones take the other's
-    fill(other, other_rows)
+    other = BlockRows.from_rows(len(oracle), np.arange(len(oracle)), other_rows)
     store.maximum(other)
     merged = np.maximum(oracle, other_rows)
     _assert_index(store, merged, widened=True)
@@ -1332,6 +1325,48 @@ def test_block_rows_index_width_survives_the_state_codec():
         for loaded in (FilterState.from_json(text), FilterState.from_dict(json.loads(text))):
             _assert_index(loaded.array("r", CELL_STATIC), oracle, widened=widen)
             assert loaded.to_json() == text
+
+
+@pytest.mark.parametrize("widen", [False, True])
+def test_a_fold_keeps_the_rows_of_blocks_the_step_never_charged(tmp_path, widen):
+    """A loaded ``hist`` store whose rows hold a -0.0 beside nonzero
+    entries, on blocks the folded step never charged: through
+    ``collapse_time`` and ``dpwarden advance`` their text stays byte for
+    byte (``np.maximum(-0.0, 0.0)`` is 0.0), and every other block reads as
+    dense ``np.maximum``.  The step covers whole classes of ``hist``, or
+    splits twenty of them, taking the index past int16."""
+    _, hist = _near_the_int16_limit()
+    n = len(hist)
+    # both blocks of every 300th class: the class count stays as it was
+    kept = np.flatnonzero(hist.any(axis=1) & (np.arange(n) // 2 % 300 == 0))
+    hist[kept, 0] = -0.0
+    step = np.zeros_like(hist)
+    if widen:
+        step[np.arange(3, 120, 6)] = 100.0  # one block of each of twenty classes
+    else:
+        step[2:6] = 100.0  # two whole classes
+    step[n - 10 :] = 7.0  # blocks hist never charged
+    state = FilterState(BlockDomain(("pa",), n, TimeAxis("m", 1, 1)))
+    for cell, arr in ((CELL_HIST, hist), (step_cell(1), step)):
+        blocks = np.flatnonzero(arr.any(axis=1))
+        place(state, "r", cell, arr[blocks], blocks)
+    assert np.intersect1d(kept, np.flatnonzero(step.any(axis=1))).size == 0
+    text = state.to_json()
+    loaded = FilterState.from_json(text)
+    loaded.collapse_time(2)
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    assert main(["advance", "--state", str(path), "--to", "2"]) == 0
+    assert path.read_text() == loaded.to_json()
+    folded = loaded.array("r", CELL_HIST)
+    assert folded.index.dtype == (np.int32 if widen else np.int16)
+    _assert_classes(folded)
+    cell = json.loads(path.read_text())["cells"]["r"][CELL_HIST]
+    held = dict(zip(cell["blocks"], cell["curves"]))
+    assert json.dumps([held[b] for b in kept.tolist()]) == json.dumps(hist[kept].tolist())
+    others = np.setdiff1d(np.arange(n), kept)
+    # compared as bits, so -0.0 is not 0.0, and without a diff of megabytes on failure
+    assert np.array_equal(dense(folded)[others].view(np.uint64), np.maximum(hist, step)[others].view(np.uint64))
 
 
 def test_a_domain_past_an_int32_index_is_refused_before_allocating(monkeypatch):

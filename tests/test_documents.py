@@ -10,7 +10,8 @@ The type-swap properties cover the three documents ``check`` reads (rules
 file, state file, request): a scalar leaf given another JSON type is
 refused, with exit 2 and the state untouched through ``cli.main``, unless
 ``check`` never reads it (a rule's order key and provenance, the pruned
-records), in which case nothing it decides or writes changes.
+records), in which case nothing it decides or writes changes.  In the
+policy document, every ``name`` leaf given another JSON type is refused.
 """
 
 import copy
@@ -24,7 +25,7 @@ from dpwarden.cli import _load_rules, main
 from dpwarden.compiler import parse_policy_set
 from dpwarden.core import ReleaseRequest
 from dpwarden.decision import FilterState
-from dpwarden.errors import DPWardenError
+from dpwarden.errors import DPWardenError, ValidationError
 from dpwarden.workload import WorkloadConfig
 
 _DELETE = object()
@@ -296,6 +297,33 @@ def test_every_leaf_of_another_json_type_is_refused(files, kind):
             continue
         accepted.append((path, value))
     assert accepted == []
+
+
+# the policy names formatted into rule ids that no ``Rule`` reads as its id:
+# a per-attribute and a category policy's, an extension policy's and an
+# extension's
+_RULE_ID_NAMES = [
+    ("base_policies", 2, "name"),
+    ("base_policies", 3, "name"),
+    ("extension_policies", 0, "name"),
+    ("extension_policies", 0, "extensions", 0, "name"),
+]
+
+
+@pytest.mark.parametrize("value", [5, 1.5, True, ["x"]])
+@pytest.mark.parametrize("path", _RULE_ID_NAMES)
+def test_a_policy_name_that_is_not_a_string_is_refused(path, value):
+    with pytest.raises(ValidationError, match="name must be a string"):
+        parse_policy_set(_swapped(policy_doc(), path, value))
+
+
+def test_every_name_of_the_policy_document_of_another_json_type_is_refused():
+    doc = policy_doc()
+    swaps = [(path, value) for path, value in _swaps_of(doc) if path[-1] == "name"]
+    assert {path for path, _ in swaps} >= set(_RULE_ID_NAMES)
+    for path, value in swaps:
+        with pytest.raises(DPWardenError):
+            parse_policy_set(_swapped(doc, path, value))
 
 
 def _run_check(capsys, files, docs):
